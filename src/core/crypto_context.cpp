@@ -42,7 +42,7 @@ BigInt CryptoContext::inverse_q(const BigInt& a) {
   ++counters_.mod_inverse;
   meter_ms_ += cost_.modinv_ms;
   obs::WallScope wall("bignum/modinv");
-  return mod_inverse(a, group_.q());
+  return group_.inverse_q(a);
 }
 
 BigInt CryptoContext::inverse_p(const BigInt& a) {

@@ -61,9 +61,11 @@ class CryptoContext {
   /// g ^ e mod p.
   BigInt exp_g(const BigInt& e);
 
-  /// Inverse of an exponent modulo q (GDH factor-out, CKD unwrap).
+  /// Inverse of a secret exponent modulo q (GDH factor-out, CKD unwrap), by
+  /// constant-time Fermat exponentiation.
   BigInt inverse_q(const BigInt& a);
-  /// Inverse of a group element modulo p (BD's z_{i-1}^{-1}).
+  /// Inverse of a public group element modulo p (BD's z_{i-1}^{-1}), by
+  /// extended Euclid.
   BigInt inverse_p(const BigInt& a);
   /// (a * b) mod p.
   BigInt mul_p(const BigInt& a, const BigInt& b);

@@ -1,6 +1,7 @@
 #include "crypto/dh.h"
 
-#include "bignum/modmath.h"
+#include <stdexcept>
+
 #include "util/check.h"
 
 namespace sgk {
@@ -30,9 +31,14 @@ constexpr const char* kG1024 =
 }  // namespace
 
 DhGroup::DhGroup(BigInt p, BigInt q, BigInt g)
-    : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)), ctx_(p_) {
+    : p_(std::move(p)),
+      q_(std::move(q)),
+      g_(std::move(g)),
+      ctx_(p_, q_.bit_length()),
+      public_ctx_(p_),
+      q_ctx_(q_, q_.bit_length()) {
   SGK_CHECK((p_ - BigInt(1)) % q_ == BigInt(0));
-  SGK_CHECK(mod_exp(g_, q_, p_) == BigInt(1));
+  SGK_CHECK(ctx_.exp(g_, q_) == BigInt(1));
   SGK_CHECK(g_ != BigInt(1));
 }
 
@@ -41,6 +47,16 @@ BigInt DhGroup::exp(const BigInt& base, const BigInt& e) const {
 }
 
 BigInt DhGroup::exp_g(const BigInt& e) const { return ctx_.exp(g_, e); }
+
+BigInt DhGroup::exp_public(const BigInt& base, const BigInt& e) const {
+  return public_ctx_.exp(base, e);
+}
+
+BigInt DhGroup::inverse_q(const BigInt& a) const {
+  BigInt inv = q_ctx_.exp(a, q_ - BigInt(2));
+  if (inv.is_zero()) throw std::domain_error("DhGroup::inverse_q: a = 0 mod q");
+  return inv;
+}
 
 SecureBigInt DhGroup::random_exponent(RandomSource& rng) const {
   for (;;) {

@@ -16,8 +16,10 @@ namespace sgk {
 /// Modulus sizes the paper evaluates.
 enum class DhBits { k512, k1024 };
 
-/// A fixed, precomputed DH group (p, q, g) with a Montgomery context for p.
-/// Instances are immutable and shared; obtain them via dh_group().
+/// A fixed, precomputed DH group (p, q, g) with Montgomery contexts for p and
+/// q. Exponents of up to |q| bits are secret: exp() and exp_g() run them on
+/// the constant-time path. Instances are immutable and shared; obtain them
+/// via dh_group().
 class DhGroup {
  public:
   DhGroup(BigInt p, BigInt q, BigInt g);
@@ -31,6 +33,13 @@ class DhGroup {
   BigInt exp(const BigInt& base, const BigInt& e) const;
   /// g ^ e mod p.
   BigInt exp_g(const BigInt& e) const;
+  /// (base ^ e) mod p for a public exponent (DSA verification).
+  BigInt exp_public(const BigInt& base, const BigInt& e) const;
+
+  /// a^{-1} mod q by Fermat, a^(q-2), on the constant-time path: for secret
+  /// a (GDH factor-out, CKD unwrap, the DSA nonce). Throws
+  /// std::domain_error if a = 0 (mod q).
+  BigInt inverse_q(const BigInt& a) const;
 
   /// Random secret exponent in [1, q). Returned in zeroizing storage; store
   /// it in a SecureBigInt (or read it once and let the temporary wipe).
@@ -45,7 +54,9 @@ class DhGroup {
   BigInt p_;
   BigInt q_;
   BigInt g_;
-  MontgomeryCtx ctx_;
+  MontgomeryCtx ctx_;         // p, secret exponents of up to |q| bits
+  MontgomeryCtx public_ctx_;  // p, public exponents
+  MontgomeryCtx q_ctx_;       // q, for Fermat inverses
 };
 
 /// Shared fixed groups (generated once with this library's own

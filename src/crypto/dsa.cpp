@@ -27,7 +27,7 @@ DsaSignature DsaPrivateKey::sign(const Bytes& message, RandomSource& rng) const 
     const BigInt r = group_.exp_g(k) % q;
     if (r.is_zero()) continue;
     // s = k^{-1} (h + x r) mod q
-    const BigInt s = mod_inverse(k, q) * ((h + x_.get() * r % q) % q) % q;
+    const BigInt s = group_.inverse_q(k) * ((h + x_.get() * r % q) % q) % q;
     if (s.is_zero()) continue;
     return DsaSignature{r, s};
   }
@@ -46,7 +46,8 @@ bool DsaPublicKey::verify(const Bytes& message, const DsaSignature& sig) const {
   const BigInt u1 = h * w % q;
   const BigInt u2 = sig.r * w % q;
   // v = (g^u1 * y^u2 mod p) mod q — the two expensive exponentiations.
-  const BigInt v = group_.exp_g(u1) * group_.exp(y_, u2) % group_.p() % q;
+  const BigInt v = group_.exp_public(group_.g(), u1) *
+                   group_.exp_public(y_, u2) % group_.p() % q;
   return v == sig.r;
 }
 

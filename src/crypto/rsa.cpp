@@ -121,8 +121,8 @@ RsaPrivateKey::RsaPrivateKey(BigInt n, std::uint64_t e, BigInt d, BigInt p,
       dp_(d_ % (p_ - BigInt(1))),
       dq_(d_ % (q_ - BigInt(1))),
       qinv_(mod_inverse(q_, p_)),
-      ctx_p_(p_),
-      ctx_q_(q_) {
+      ctx_p_(p_, p_.bit_length()),
+      ctx_q_(q_, q_.bit_length()) {
   SGK_CHECK(p_ * q_ == pub_.n());
 }
 

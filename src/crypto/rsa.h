@@ -56,7 +56,7 @@ class RsaPrivateKey {
   BigInt d_;
   BigInt p_, q_;
   BigInt dp_, dq_, qinv_;  // CRT exponents and q^{-1} mod p
-  MontgomeryCtx ctx_p_, ctx_q_;
+  MontgomeryCtx ctx_p_, ctx_q_;  // dp_, dq_ run on the constant-time path
 };
 
 /// The PKCS#1 v1.5 DigestInfo encoding of SHA-256(message), padded to
