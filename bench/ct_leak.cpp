@@ -9,10 +9,13 @@
 // samples at their 90th percentile (preemption spikes). |t| > 4.5 is read
 // as a leak, as in the paper.
 //
-// The secret path is checked at K = 8 (DH-512) and K = 16 (DH-1024). The
-// public sliding-window path on the same DH-512 modulus is run as a control
-// that must show a leak: it does one multiply per non-zero window, so the
-// fixed class is much faster. The program always exits 0 (report only).
+// The secret path is checked at K = 8 (DH-512) and K = 16 (DH-1024), both
+// with a random base (fixed 4-bit windows) and with the generator g on a
+// context that holds it as fixed base (the Lim-Lee comb; its table is built
+// before timing starts). The public sliding-window path on the same DH-512
+// modulus is run as a control that must show a leak: it does one multiply
+// per non-zero window, so the fixed class is much faster. The program
+// always exits 0 (report only).
 //
 // Usage: ct_leak [--samples N]   (N per class and context; default 5000)
 #include <algorithm>
@@ -51,10 +54,10 @@ double welch_t(const Moments& a, const Moments& b) {
   return se > 0 ? (a.mean - b.mean) / se : 0;
 }
 
-void check(const char* name, const MontgomeryCtx& ctx, std::size_t ebits,
-           std::size_t samples, Drbg& rng) {
-  const BigInt base = BigInt::random_below(ctx.modulus(), rng);
+void check(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
+           std::size_t ebits, std::size_t samples, Drbg& rng) {
   const BigInt fixed = BigInt(1) << (ebits - 1);
+  ctx.exp(base, fixed);  // builds a comb table outside the timed samples
   std::vector<double> times[2];
   while (times[0].size() < samples || times[1].size() < samples) {
     const std::size_t cls = rng.next_u64(2);
@@ -105,11 +108,21 @@ int main(int argc, char** argv) {
   sgk::Drbg rng(1, "ct_leak");
   std::printf("Welch t-test, fixed vs random %zu-bit exponents; leak if |t| > %.1f\n",
               qbits, sgk::kThreshold);
+  auto random_base = [&rng](const sgk::BigInt& p) {
+    return sgk::BigInt::random_below(p, rng);
+  };
   sgk::check("DH-512 secret path (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
-             qbits, samples, rng);
+             random_base(g512.p()), qbits, samples, rng);
   sgk::check("DH-1024 secret path (K=16)", sgk::MontgomeryCtx(g1024.p(), qbits),
-             qbits, samples, rng);
+             random_base(g1024.p()), qbits, samples, rng);
+  sgk::check("DH-512 fixed-base comb, g (K=8)",
+             sgk::MontgomeryCtx(g512.p(), qbits, g512.g()), g512.g(), qbits,
+             samples, rng);
+  sgk::check("DH-1024 fixed-base comb, g (K=16)",
+             sgk::MontgomeryCtx(g1024.p(), qbits, g1024.g()), g1024.g(), qbits,
+             samples, rng);
   sgk::check("DH-512 public path (control, should leak)",
-             sgk::MontgomeryCtx(g512.p()), qbits, samples, rng);
+             sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), qbits, samples,
+             rng);
   return 0;
 }

@@ -1,9 +1,106 @@
 #include "bignum/modmath.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace sgk {
+
+namespace {
+using u64 = std::uint64_t;
+
+// Fixed-length little-endian limb arrays of k limbs.
+bool is_zero(const u64* x, std::size_t k) {
+  for (std::size_t i = 0; i < k; ++i)
+    if (x[i] != 0) return false;
+  return true;
+}
+
+bool geq(const u64* x, const u64* y, std::size_t k) {
+  for (std::size_t i = k; i-- > 0;)
+    if (x[i] != y[i]) return x[i] > y[i];
+  return true;
+}
+
+// x -= y; returns the borrow.
+u64 sub(u64* x, const u64* y, std::size_t k) {
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    u64 d;
+    const bool b1 = __builtin_sub_overflow(x[i], y[i], &d);
+    const bool b2 = __builtin_sub_overflow(d, borrow, &x[i]);
+    borrow = static_cast<u64>(b1 || b2);
+  }
+  return borrow;
+}
+
+// x += y; returns the carry.
+u64 add(u64* x, const u64* y, std::size_t k) {
+  u64 carry = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    u64 s;
+    const bool c1 = __builtin_add_overflow(x[i], y[i], &s);
+    const bool c2 = __builtin_add_overflow(s, carry, &x[i]);
+    carry = static_cast<u64>(c1 || c2);
+  }
+  return carry;
+}
+
+// x = (top : x) >> 1 for a top bit `top`.
+void shift_right(u64* x, std::size_t k, u64 top) {
+  for (std::size_t i = 0; i + 1 < k; ++i) x[i] = x[i] >> 1 | x[i + 1] << 63;
+  x[k - 1] = x[k - 1] >> 1 | top << 63;
+}
+
+// x = x / 2 mod m for x < m, m odd: (x + m) / 2 when x is odd.
+void halve_mod(u64* x, const u64* m, std::size_t k) {
+  const u64 top = (x[0] & 1) != 0 ? add(x, m, k) : 0;
+  shift_right(x, k, top);
+}
+
+// Strips the factors of 2 from u (non-zero), halving x mod m for each.
+void strip_twos(u64* u, u64* x, const u64* m, std::size_t k) {
+  while ((u[0] & 1) == 0) {
+    shift_right(u, k, 0);
+    halve_mod(x, m, k);
+  }
+}
+
+// a^{-1} mod m for odd m > 1 and 0 < a < m, by binary extended GCD.
+// Invariants: u = x1 * a and v = x2 * a (mod m), with x1, x2 in [0, m).
+// Each step halves or subtracts in place; the only allocation is the limb
+// buffer up front.
+BigInt binary_inverse(const BigInt& a, const BigInt& m) {
+  const auto& ml = m.limbs();
+  const std::size_t k = ml.size();
+  std::vector<u64> buf(4 * k, 0);
+  u64* u = buf.data();
+  u64* v = u + k;
+  u64* x1 = v + k;
+  u64* x2 = x1 + k;
+  const u64* n = ml.data();
+  std::copy(a.limbs().begin(), a.limbs().end(), u);
+  std::copy(ml.begin(), ml.end(), v);
+  x1[0] = 1;
+  while (!is_zero(u, k)) {
+    strip_twos(u, x1, n, k);
+    strip_twos(v, x2, n, k);
+    if (geq(u, v, k)) {
+      sub(u, v, k);
+      if (sub(x1, x2, k) != 0) add(x1, n, k);
+    } else {
+      sub(v, u, k);
+      if (sub(x2, x1, k) != 0) add(x2, n, k);
+    }
+  }
+  // v = gcd(a, m).
+  if (v[0] != 1 || !is_zero(v + 1, k - 1))
+    throw std::domain_error("mod_inverse: not invertible");
+  return BigInt::from_limbs(std::vector<u64>(x2, x2 + k));
+}
+}  // namespace
 
 BigInt gcd(const BigInt& a, const BigInt& b) {
   BigInt x = a;
@@ -17,6 +114,17 @@ BigInt gcd(const BigInt& a, const BigInt& b) {
 }
 
 BigInt mod_inverse(const BigInt& a, const BigInt& m) {
+  if (!m.is_odd()) return mod_inverse_euclid(a, m);  // also rejects m = 0
+  if (m == BigInt(1)) throw std::domain_error("mod_inverse: modulus must be > 1");
+  BigInt reduced;
+  const BigInt& r = a < m ? a : (reduced = a % m);
+  if (r.is_zero()) throw std::domain_error("mod_inverse: not invertible");
+  return binary_inverse(r, m);
+}
+
+// Even moduli (RSA key generation's phi, and tests) keep Euclid: the binary
+// method needs an odd modulus to halve by.
+BigInt mod_inverse_euclid(const BigInt& a, const BigInt& m) {
   if (m <= BigInt(1)) throw std::domain_error("mod_inverse: modulus must be > 1");
   // Extended Euclid tracking only the coefficient of a, as a signed value
   // represented by (magnitude, negative) to stay within natural arithmetic.

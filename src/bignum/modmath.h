@@ -9,8 +9,12 @@ namespace sgk {
 BigInt gcd(const BigInt& a, const BigInt& b);
 
 /// Multiplicative inverse of a modulo m (m > 1). Throws std::domain_error if
-/// gcd(a, m) != 1.
+/// gcd(a, m) != 1. Odd moduli run a binary extended GCD on fixed limb
+/// arrays; even ones run mod_inverse_euclid. Neither is constant-time.
 BigInt mod_inverse(const BigInt& a, const BigInt& m);
+
+/// The same inverse by extended Euclid on BigInt, for any modulus > 1.
+BigInt mod_inverse_euclid(const BigInt& a, const BigInt& m);
 
 /// (a * b) mod m.
 BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);

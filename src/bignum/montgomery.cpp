@@ -1,6 +1,7 @@
 #include "bignum/montgomery.h"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 
 #include "util/secure_bytes.h"
@@ -16,6 +17,23 @@ constexpr std::size_t kMaxLimbs = MontgomeryCtx::kMaxLimbs;
 // sliding-window table (odd powers for 5-bit windows).
 constexpr std::size_t kFixedWindow = 4;
 constexpr std::size_t kTableSize = std::size_t{1} << kFixedWindow;
+
+// Fixed-base comb shape: the padded exponent is cut into kTeeth blocks, and
+// each block into kCombTables runs of columns. Table j holds, for every
+// subset u of the teeth, base^(sum over i in u of 2^(i*block + j*columns)).
+constexpr std::size_t kTeeth = 4;
+constexpr std::size_t kCombTables = 8;
+constexpr std::size_t kCombEntries = std::size_t{1} << kTeeth;
+
+struct CombShape {
+  std::size_t block;    // bits per tooth: ceil(width / kTeeth)
+  std::size_t columns;  // columns per table: ceil(block / kCombTables)
+};
+
+CombShape comb_shape(std::size_t width) {
+  const std::size_t block = (width + kTeeth - 1) / kTeeth;
+  return {block, (block + kCombTables - 1) / kCombTables};
+}
 
 // -n^{-1} mod 2^64 by Newton iteration (n odd).
 u64 neg_inv64(u64 n) {
@@ -106,6 +124,48 @@ class Kernel {
     return to_bigint(acc);
   }
 
+  /// base ^ e mod n for 0 < e < 2^width, from build_comb's `table` for that
+  /// base and width.
+  BigInt comb_exp(const u64* table, const BigInt& e, std::size_t width) const {
+    Limbs acc;
+    comb(acc, table, e, width);
+    mul(acc, acc, kOne);
+    return to_bigint(acc);
+  }
+
+  /// Limbs of the comb table for a secret width.
+  std::size_t comb_limbs() const { return kCombTables * kCombEntries * limbs(); }
+
+  /// Fills `table` (comb_limbs() limbs) with the Montgomery-form comb
+  /// entries of base < n for exponents of up to `width` bits: one squaring
+  /// chain through every single-tooth power, then each other entry as the
+  /// product of two smaller subsets.
+  void build_comb(u64* table, const BigInt& base, std::size_t width) const {
+    const std::size_t k = limbs();
+    const CombShape s = comb_shape(width);
+    auto entry = [&](std::size_t j, std::size_t u) {
+      return table + (j * kCombEntries + u) * k;
+    };
+    Limbs p;  // base^(2^t)
+    load(p, base);
+    mul(p, p, mod_.r2);
+    const std::size_t last = (kTeeth - 1) * s.block + (kCombTables - 1) * s.columns;
+    for (std::size_t t = 0;; ++t) {
+      for (std::size_t i = 0; i < kTeeth; ++i)
+        for (std::size_t j = 0; j < kCombTables; ++j)
+          if (i * s.block + j * s.columns == t) copy(entry(j, std::size_t{1} << i), p);
+      if (t == last) break;
+      mul(p, p, p);
+    }
+    for (std::size_t j = 0; j < kCombTables; ++j) {
+      mul(entry(j, 0), mod_.r2, kOne);  // R mod n
+      for (std::size_t u = 3; u < kCombEntries; ++u) {
+        const std::size_t low = u & (0 - u);
+        if (u != low) mul(entry(j, u), entry(j, u - low), entry(j, low));
+      }
+    }
+  }
+
   /// (a * b) mod n for a, b < n: REDC(REDC(a * b) * R^2).
   BigInt product(const BigInt& a, const BigInt& b) const {
     Limbs x;
@@ -179,12 +239,44 @@ class Kernel {
     const auto& el = e.limbs();
     std::copy(el.begin(), el.end(), ebuf);
     const std::size_t windows = (width + kFixedWindow - 1) / kFixedWindow;
-    select(acc, table, window(ebuf, windows - 1));
+    select(acc, table[0], kCap, window(ebuf, windows - 1));
     Limbs entry;
     for (std::size_t w = windows - 1; w-- > 0;) {
       for (std::size_t s = 0; s < kFixedWindow; ++s) mul(acc, acc, acc);
-      select(entry, table, window(ebuf, w));
+      select(entry, table[0], kCap, window(ebuf, w));
       mul(acc, acc, entry);
+    }
+    secure_zero(ebuf, sizeof ebuf);
+  }
+
+  // Fixed-base secret path: e padded to kTeeth * block bits. Column c of
+  // table j gathers bit j * columns + c of every block into a table index;
+  // each column is one squaring (none before the first) and one masked
+  // scan and multiply per table.
+  void comb(u64* acc, const u64* table, const BigInt& e,
+            std::size_t width) const {
+    const std::size_t k = limbs();
+    const CombShape s = comb_shape(width);
+    u64 ebuf[kMaxLimbs] = {};
+    const auto& el = e.limbs();
+    std::copy(el.begin(), el.end(), ebuf);
+    Limbs entry;
+    bool first = true;
+    for (std::size_t c = s.columns; c-- > 0;) {
+      if (!first) mul(acc, acc, acc);
+      for (std::size_t j = kCombTables; j-- > 0;) {
+        const std::size_t offset = j * s.columns + c;
+        u64 index = 0;
+        if (offset < s.block)
+          for (std::size_t i = 0; i < kTeeth; ++i)
+            index |= bit_at(ebuf, i * s.block + offset) << i;
+        select(entry, table + j * kCombEntries * k, k, index);
+        if (first)
+          copy(acc, entry);
+        else
+          mul(acc, acc, entry);
+        first = false;
+      }
     }
     secure_zero(ebuf, sizeof ebuf);
   }
@@ -233,13 +325,16 @@ class Kernel {
     return (e[bit / 64] >> (bit % 64)) & (kTableSize - 1);
   }
 
-  // out = table[index], reading every entry.
-  void select(u64* out, const u64 (*table)[kCap], u64 index) const {
+  static u64 bit_at(const u64* e, std::size_t i) { return (e[i / 64] >> (i % 64)) & 1; }
+
+  // out = entry `index` of a 16-entry table whose entries start `stride`
+  // limbs apart, reading every entry.
+  void select(u64* out, const u64* table, std::size_t stride, u64 index) const {
     const std::size_t k = limbs();
     for (std::size_t j = 0; j < k; ++j) out[j] = 0;
     for (std::size_t i = 0; i < kTableSize; ++i) {
       const u64 mask = eq_mask(i, index);
-      for (std::size_t j = 0; j < k; ++j) out[j] |= table[i][j] & mask;
+      for (std::size_t j = 0; j < k; ++j) out[j] |= table[i * stride + j] & mask;
     }
   }
 
@@ -259,7 +354,7 @@ class Kernel {
 };
 
 template <typename F>
-BigInt with_kernel(const Modulus& mod, F&& f) {
+auto with_kernel(const Modulus& mod, F&& f) {
   switch (mod.k) {
     case 8:
       return f(Kernel<8>(mod));
@@ -271,6 +366,12 @@ BigInt with_kernel(const Modulus& mod, F&& f) {
 }
 }  // namespace
 
+struct MontgomeryCtx::FixedBase {
+  BigInt base;
+  std::once_flag built;
+  std::vector<u64> comb;  // Kernel::build_comb's table, once built
+};
+
 MontgomeryCtx::MontgomeryCtx(const BigInt& modulus) : n_(modulus) {
   if (!modulus.is_odd() || modulus <= BigInt(1))
     throw std::invalid_argument("MontgomeryCtx: modulus must be odd and > 1");
@@ -280,6 +381,13 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& modulus) : n_(modulus) {
   n0_inv_ = neg_inv64(n_.limbs()[0]);
   r2_ = ((BigInt(1) << (128 * k_)) % n_).limbs();
   r2_.resize(k_, 0);
+}
+
+void MontgomeryCtx::set_fixed_base(const BigInt& base) {
+  if (base >= n_)
+    throw std::invalid_argument("MontgomeryCtx: fixed base must be below the modulus");
+  fixed_ = std::make_shared<FixedBase>();
+  fixed_->base = base;
 }
 
 BigInt MontgomeryCtx::mul(const BigInt& a, const BigInt& b) const {
@@ -296,9 +404,22 @@ BigInt MontgomeryCtx::exp(const BigInt& base, const BigInt& exponent) const {
   const std::size_t ebits = exponent.bit_length();
   const std::size_t width =
       ebits >= 64 && ebits <= ct_width_ ? ct_width_ : 0;
+  const Modulus mod{n_.limbs().data(), r2_.data(), n0_inv_, k_};
+  // The base is public; comparing it only tells whether it is the fixed one.
+  if (width != 0 && fixed_ && base == fixed_->base) {
+    FixedBase& fb = *fixed_;
+    std::call_once(fb.built, [&] {
+      with_kernel(mod, [&](const auto& kernel) {
+        fb.comb.resize(kernel.comb_limbs());
+        kernel.build_comb(fb.comb.data(), fb.base, width);
+      });
+    });
+    return with_kernel(mod, [&](const auto& kernel) {
+      return kernel.comb_exp(fb.comb.data(), exponent, width);
+    });
+  }
   BigInt scratch;
   const BigInt& b = reduced(base, n_, scratch);
-  const Modulus mod{n_.limbs().data(), r2_.data(), n0_inv_, k_};
   return with_kernel(mod, [&](const auto& kernel) {
     return kernel.exp(b, exponent, width);
   });

@@ -34,11 +34,13 @@ DhGroup::DhGroup(BigInt p, BigInt q, BigInt g)
     : p_(std::move(p)),
       q_(std::move(q)),
       g_(std::move(g)),
-      ctx_(p_, q_.bit_length()),
+      ctx_(p_, q_.bit_length(), g_),
       public_ctx_(p_),
       q_ctx_(q_, q_.bit_length()) {
   SGK_CHECK((p_ - BigInt(1)) % q_ == BigInt(0));
-  SGK_CHECK(ctx_.exp(g_, q_) == BigInt(1));
+  // q is public; checking on public_ctx_ leaves the comb table unbuilt
+  // until the first secret g^x.
+  SGK_CHECK(public_ctx_.exp(g_, q_) == BigInt(1));
   SGK_CHECK(g_ != BigInt(1));
 }
 

@@ -18,8 +18,9 @@ enum class DhBits { k512, k1024 };
 
 /// A fixed, precomputed DH group (p, q, g) with Montgomery contexts for p and
 /// q. Exponents of up to |q| bits are secret: exp() and exp_g() run them on
-/// the constant-time path. Instances are immutable and shared; obtain them
-/// via dh_group().
+/// the constant-time path, and g^x (exp_g(), or exp() with base g) on its
+/// fixed-base comb, whose table is built on the first such call. Instances
+/// are immutable and shared; obtain them via dh_group().
 class DhGroup {
  public:
   DhGroup(BigInt p, BigInt q, BigInt g);
@@ -54,7 +55,7 @@ class DhGroup {
   BigInt p_;
   BigInt q_;
   BigInt g_;
-  MontgomeryCtx ctx_;         // p, secret exponents of up to |q| bits
+  MontgomeryCtx ctx_;         // p, secret exponents of up to |q| bits, base g
   MontgomeryCtx public_ctx_;  // p, public exponents
   MontgomeryCtx q_ctx_;       // q, for Fermat inverses
 };

@@ -4,6 +4,7 @@
 // hostile frame dies as a typed rejection and the group still converges.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -16,6 +17,7 @@
 #include "crypto/dh.h"
 #include "obs/metrics.h"
 #include "tests/protocol_harness.h"
+#include "util/check.h"
 #include "util/serde.h"
 
 namespace sgk {
@@ -34,7 +36,8 @@ Bytes bigint_body(std::uint8_t tag, const BigInt& v) {
 }
 
 Bytes truncate(Bytes b, std::size_t n = 1) {
-  b.resize(b.size() - n);
+  SGK_CHECK(n <= b.size());
+  b.erase(b.end() - static_cast<std::ptrdiff_t>(n), b.end());
   return b;
 }
 

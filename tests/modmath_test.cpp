@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bignum/montgomery.h"
 #include "bignum/prime.h"
 #include "crypto/drbg.h"
@@ -46,6 +48,51 @@ TEST(ModInverse, CompositeModulus) {
   const BigInt a = BigInt(77);
   BigInt inv = mod_inverse(a, m);
   EXPECT_EQ(a * inv % m, BigInt(1));
+}
+
+// The binary inverse (odd moduli) against extended Euclid.
+TEST(ModInverse, BinaryMatchesEuclidOnOddModuli) {
+  for (std::size_t limbs : {1u, 8u, 16u}) {
+    Drbg rng(limbs, "modinv-binary");
+    for (int trial = 0; trial < 4; ++trial) {
+      BigInt m = BigInt::random_bits(64 * limbs, rng);
+      if (!m.is_odd()) m = m + BigInt(1);
+      std::vector<BigInt> as = {BigInt(1), BigInt(2), m - BigInt(1), m - BigInt(2),
+                                m + BigInt(3), m * BigInt(7) + BigInt(5),
+                                BigInt(1) << (64 * limbs - 1),
+                                BigInt(1) << (64 * limbs + 64)};
+      for (int i = 0; i < 16; ++i) as.push_back(BigInt::random_below(m, rng));
+      for (const BigInt& a : as) {
+        if (gcd(a % m, m) != BigInt(1)) {
+          EXPECT_THROW(mod_inverse(a, m), std::domain_error) << a.to_hex();
+          EXPECT_THROW(mod_inverse_euclid(a, m), std::domain_error) << a.to_hex();
+          continue;
+        }
+        const BigInt inv = mod_inverse(a, m);
+        EXPECT_EQ(inv, mod_inverse_euclid(a, m)) << "limbs " << limbs << " a " << a.to_hex();
+        EXPECT_EQ(a * inv % m, BigInt(1));
+      }
+    }
+  }
+}
+
+TEST(ModInverse, BinaryEdgeCases) {
+  const BigInt p = BigInt::from_hex("d17977a5656e7ef6ea1a65eb9406b483d7b489a3");
+  EXPECT_EQ(mod_inverse(BigInt(1), p), BigInt(1));
+  EXPECT_EQ(mod_inverse(p - BigInt(1), p), p - BigInt(1));
+  EXPECT_EQ(mod_inverse(p + BigInt(1), p), BigInt(1));
+  // Non-invertible: zero, multiples of m, and a shared factor.
+  const BigInt m = p * BigInt(3);
+  EXPECT_THROW(mod_inverse(BigInt(), p), std::domain_error);
+  EXPECT_THROW(mod_inverse(p, p), std::domain_error);
+  EXPECT_THROW(mod_inverse(p * BigInt(4), p), std::domain_error);
+  EXPECT_THROW(mod_inverse(BigInt(6), m), std::domain_error);
+  EXPECT_THROW(mod_inverse(p, m), std::domain_error);
+  // m = 1 and m = 0 are rejected on both paths.
+  EXPECT_THROW(mod_inverse(BigInt(1), BigInt(1)), std::domain_error);
+  EXPECT_THROW(mod_inverse(BigInt(1), BigInt()), std::domain_error);
+  // Even moduli run Euclid.
+  EXPECT_EQ(mod_inverse(BigInt(3), BigInt(8)), BigInt(3));
 }
 
 TEST(ModAddSub, WrapsCorrectly) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bignum/modmath.h"
@@ -178,6 +179,149 @@ TEST(MontgomeryOracleBounds, LargestModulusWorksAndWiderThrows) {
   EXPECT_THROW(MontgomeryCtx{wide}, std::invalid_argument);
   EXPECT_THROW(MontgomeryCtx(wide, 160), std::invalid_argument);
   EXPECT_THROW(MontgomeryCtx(BigInt(101), 8), std::invalid_argument);
+}
+
+// ---- fixed-base comb ---------------------------------------------------------
+
+/// Comb block and column lengths for a secret width (4 teeth, 8 tables).
+struct CombGeometry {
+  std::size_t block;
+  std::size_t columns;
+};
+
+CombGeometry comb_geometry(std::size_t width) {
+  const std::size_t block = (width + 3) / 4;
+  return {block, (block + 7) / 8};
+}
+
+/// Exponents that stress the comb for a secret width: the edges of the
+/// secret path, zero top blocks and columns, and one set bit per block.
+std::vector<BigInt> comb_exponents(std::size_t width, const BigInt& order,
+                                   Drbg& rng) {
+  const CombGeometry c = comb_geometry(width);
+  std::vector<BigInt> es = {
+      BigInt(1) << 63,                   // 64 bits: lowest secret-path exponent
+      all_ones(64),
+      BigInt::random_bits(64, rng),
+      BigInt::random_bits(width - 1, rng),
+      BigInt::random_bits(width, rng),
+      all_ones(width),
+      order - BigInt(1),
+  };
+  // Top block zero, and all but the lowest block zero (still >= 64 bits).
+  for (std::size_t bits : {3 * c.block, c.block + 1}) {
+    if (bits >= 64 && bits <= width) es.push_back(BigInt::random_bits(bits, rng));
+  }
+  // One column zero in every block: clear bit (offset) of each block.
+  for (std::size_t offset : {std::size_t{0}, c.columns - 1, c.block - 1}) {
+    BigInt e = all_ones(width);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::size_t pos = i * c.block + offset;
+      if (pos < width) e = e - (BigInt(1) << pos);
+    }
+    es.push_back(e);
+  }
+  // One set bit in each block, at every offset of a block, and a single set
+  // bit at every secret-path position (every 7th above 200 bits).
+  const std::size_t step = width > 200 ? 7 : 1;
+  for (std::size_t offset = 0; offset < c.block; offset += step) {
+    BigInt e;
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::size_t pos = i * c.block + offset;
+      if (pos < width) e = e + (BigInt(1) << pos);
+    }
+    if (e.bit_length() >= 64) es.push_back(e);
+  }
+  for (std::size_t pos = 63; pos < width; pos += step) es.push_back(BigInt(1) << pos);
+  return es;
+}
+
+TEST(MontgomeryOracleComb, DhGeneratorMatchesSquareAndMultiply) {
+  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+    const DhGroup& grp = dh_group(bits);
+    const std::size_t width = grp.q().bit_length();
+    Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb");
+    std::vector<BigInt> es = comb_exponents(width, grp.q(), rng);
+    for (int i = 0; i < 8; ++i) es.push_back(BigInt::random_below(grp.q(), rng));
+    for (const BigInt& e : es) {
+      const BigInt want = oracle_exp(grp.g(), e, grp.p());
+      EXPECT_EQ(grp.exp_g(e), want) << e.to_hex();
+      EXPECT_EQ(grp.exp(grp.g(), e), want) << e.to_hex();
+    }
+  }
+}
+
+TEST(MontgomeryOracleComb, DhGeneratorOffTheCombAgrees) {
+  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+    const DhGroup& grp = dh_group(bits);
+    const std::size_t width = grp.q().bit_length();
+    Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb-off");
+    const BigInt unreduced = grp.g() + grp.p();
+    // Above the width (public path), below 64 bits (public path), and the
+    // unreduced base g + p (window path) at secret widths.
+    for (const BigInt& e :
+         {BigInt::random_bits(width + 1, rng), BigInt::random_bits(2 * width, rng),
+          BigInt::random_bits(63, rng), BigInt(3)}) {
+      EXPECT_EQ(grp.exp_g(e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
+    }
+    for (const BigInt& e : {BigInt::random_bits(64, rng), BigInt::random_bits(width, rng),
+                            grp.q() - BigInt(1)}) {
+      EXPECT_EQ(grp.exp(unreduced, e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
+    }
+  }
+}
+
+TEST(MontgomeryOracleComb, FixedBaseOnEveryLimbCountAndWidth) {
+  for (std::size_t limbs : {1u, 2u, 3u, 5u, 8u, 9u, 16u, 17u}) {
+    Drbg rng(limbs, "oracle-comb-limbs");
+    const BigInt n = random_modulus(limbs, rng);
+    const BigInt base = BigInt::random_below(n, rng);
+    // Widths that split evenly, unevenly, and into blocks shorter than 8
+    // columns.
+    for (std::size_t width : {std::size_t{64}, std::size_t{67}, std::size_t{160},
+                              std::size_t{161}, 64 * limbs}) {
+      if (width > 64 * limbs) continue;
+      const MontgomeryCtx ctx(n, width, base);
+      for (const BigInt& e : comb_exponents(width, all_ones(width), rng)) {
+        EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
+            << "limbs " << limbs << " width " << width << " e " << e.to_hex();
+      }
+      // Another base on the same context takes the window path.
+      const BigInt other = BigInt::random_below(n, rng);
+      const BigInt e = BigInt::random_bits(width, rng);
+      EXPECT_EQ(ctx.exp(other, e), oracle_exp(other, e, n));
+    }
+  }
+}
+
+TEST(MontgomeryOracleComb, CopiesShareTheTableAndBadBasesThrow) {
+  const DhGroup& grp = dh_group(DhBits::k512);
+  const std::size_t width = grp.q().bit_length();
+  const MontgomeryCtx ctx(grp.p(), width, grp.g());
+  const MontgomeryCtx copy = ctx;  // before the table exists
+  Drbg rng(3, "oracle-comb-copy");
+  const BigInt e = BigInt::random_bits(width, rng);
+  const BigInt want = oracle_exp(grp.g(), e, grp.p());
+  EXPECT_EQ(ctx.exp(grp.g(), e), want);
+  EXPECT_EQ(copy.exp(grp.g(), e), want);
+  EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.p()), std::invalid_argument);
+  EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.g() + grp.p()), std::invalid_argument);
+}
+
+TEST(MontgomeryOracleComb, FirstGeneratorExpsRaceOnFreshGroup) {
+  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+    const DhGroup& ref = dh_group(bits);
+    const DhGroup grp(ref.p(), ref.q(), ref.g());  // comb table not built yet
+    Drbg rng(bits == DhBits::k512 ? 5 : 10, "oracle-comb-race");
+    const BigInt e[2] = {BigInt::random_below(ref.q(), rng),
+                         BigInt::random_below(ref.q(), rng)};
+    BigInt got[2];
+    std::thread other([&] { got[1] = grp.exp_g(e[1]); });
+    got[0] = grp.exp_g(e[0]);
+    other.join();
+    for (int i = 0; i < 2; ++i)
+      EXPECT_EQ(got[i], oracle_exp(ref.g(), e[i], ref.p())) << i;
+  }
 }
 
 /// An RSA key whose private exponent the test knows.
