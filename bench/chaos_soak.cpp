@@ -17,7 +17,6 @@
 // Usage: chaos_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
 //                   [--fault-rate R] [--group-size N] [--events N]
 //                   [--seed BASE] [--json out.json] [--trace out.trace.json]
-#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <iomanip>
@@ -69,16 +68,6 @@ bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
     return true;
   }
   return false;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
 std::string lower_name(ProtocolKind kind) {
@@ -203,8 +192,10 @@ int main(int argc, char** argv) {
     entry.set("restarts", sgk::obs::Json(restarts));
     entry.set("stale_dropped", sgk::obs::Json(stale));
     entry.set("churn_applied", sgk::obs::Json(churn));
-    entry.set("convergence_median_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
-    entry.set("convergence_p95_ms", sgk::obs::Json(quantile(converge_ms, 0.95)));
+    const double median_ms = sgk::obs::sample_quantile(converge_ms, 0.5);
+    entry.set("convergence_median_ms", sgk::obs::Json(median_ms));
+    entry.set("convergence_p95_ms",
+              sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.95)));
     chaos.set(proto, std::move(entry));
 
     // "table" rows feed the CI gate (tools/bench_gate): the median
@@ -212,7 +203,7 @@ int main(int argc, char** argv) {
     sgk::obs::Json row = sgk::obs::Json::object();
     row.set("protocol", sgk::obs::Json(proto));
     row.set("event", sgk::obs::Json("chaos_converge"));
-    row.set("elapsed_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
+    row.set("elapsed_ms", sgk::obs::Json(median_ms));
     table.push(std::move(row));
   }
   report.add_section("chaos", std::move(chaos));

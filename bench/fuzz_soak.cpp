@@ -21,7 +21,6 @@
 // Usage: fuzz_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
 //                  [--rates R1,R2,...] [--group-size N] [--events N]
 //                  [--seed BASE] [--json out.json] [--trace out.trace.json]
-#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <iomanip>
@@ -81,16 +80,6 @@ std::vector<double> parse_rates(const std::string& csv) {
   std::string item;
   while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
   return rates;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
 std::string lower_name(ProtocolKind kind) {
@@ -234,10 +223,10 @@ int main(int argc, char** argv) {
       entry.set("frames_mutated", sgk::obs::Json(mutated));
       entry.set("frames_rejected", sgk::obs::Json(rejected));
       entry.set("recoveries", sgk::obs::Json(recoveries));
-      entry.set("convergence_median_ms",
-                sgk::obs::Json(quantile(converge_ms, 0.5)));
+      const double median_ms = sgk::obs::sample_quantile(converge_ms, 0.5);
+      entry.set("convergence_median_ms", sgk::obs::Json(median_ms));
       entry.set("convergence_p95_ms",
-                sgk::obs::Json(quantile(converge_ms, 0.95)));
+                sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.95)));
       per_rate.set(rate_str, std::move(entry));
 
       // "table" rows feed the CI gate (tools/bench_gate): the median
@@ -245,7 +234,7 @@ int main(int argc, char** argv) {
       sgk::obs::Json row = sgk::obs::Json::object();
       row.set("protocol", sgk::obs::Json(proto));
       row.set("event", sgk::obs::Json("fuzz_converge@" + rate_str));
-      row.set("elapsed_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
+      row.set("elapsed_ms", sgk::obs::Json(median_ms));
       table.push(std::move(row));
     }
     fuzz.set(proto, std::move(per_rate));

@@ -281,10 +281,16 @@ int main(int argc, char** argv) {
     // Host-time scaling table (stdout only: wall numbers must not leak into
     // the deterministic sections; the per-site histograms are in the
     // report's "wallclock" section).
+    // A row with more threads than host CPUs time-slices its workers, so
+    // its speedup says nothing about scaling; it is marked, not hidden
+    // (cpus is 0 where the host count is unknown).
     const double base = wall_ms.front().second;
     const int base_threads = wall_ms.front().first;
+    const auto cpus = static_cast<int>(
+        sgk::obs::wall_env_json().at("cpus").as_number());
     std::cout << "\nwall-clock scaling (host ms; baseline " << base_threads
-              << " thread" << (base_threads == 1 ? "" : "s") << ")\n";
+              << " thread" << (base_threads == 1 ? "" : "s") << "; host cpus "
+              << cpus << ")\n";
     std::cout << std::setw(8) << "threads" << std::setw(12) << "wall_ms"
               << std::setw(10) << "speedup" << std::setw(12) << "efficiency"
               << "\n";
@@ -294,8 +300,12 @@ int main(int argc, char** argv) {
           speedup * static_cast<double>(base_threads) / threads;
       std::cout << std::setw(8) << threads << std::setw(12) << std::fixed
                 << std::setprecision(1) << ms << std::setw(10)
-                << std::setprecision(2) << speedup << std::setw(12) << eff
-                << "\n";
+                << std::setprecision(2) << speedup << std::setw(12) << eff;
+      if (cpus > 0 && threads > cpus) {
+        std::cout << "  oversubscribed (" << threads << " threads > " << cpus
+                  << " cpus): not a scaling measurement";
+      }
+      std::cout << "\n";
     }
   }
 

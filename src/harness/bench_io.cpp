@@ -1,6 +1,5 @@
 #include "harness/bench_io.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -153,22 +152,6 @@ bool ObsSession::finish(obs::RunReport& report) {
   return ok;
 }
 
-namespace {
-
-// Quantile over a copy of `v` with linear interpolation between order
-// statistics (matches the convention documented in docs/observability.md).
-double sample_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-}  // namespace
-
 obs::Json sweep_to_json(const SweepResult& result) {
   obs::Json doc = obs::Json::object();
   doc.set("min_size", obs::Json(static_cast<std::uint64_t>(result.min_size)));
@@ -192,10 +175,10 @@ obs::Json sweep_to_json(const SweepResult& result) {
       static const std::vector<double> kEmpty;
       const std::vector<double>& samples =
           i < s.samples.size() ? s.samples[i] : kEmpty;
-      median.push(obs::Json(samples.empty() ? s.values[i]
-                                            : sample_quantile(samples, 0.5)));
-      p95.push(obs::Json(samples.empty() ? s.values[i]
-                                         : sample_quantile(samples, 0.95)));
+      median.push(obs::Json(
+          samples.empty() ? s.values[i] : obs::sample_quantile(samples, 0.5)));
+      p95.push(obs::Json(
+          samples.empty() ? s.values[i] : obs::sample_quantile(samples, 0.95)));
     }
     entry.set("mean_ms", std::move(mean));
     entry.set("median_ms", std::move(median));

@@ -56,6 +56,17 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
+double sample_quantile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = std::clamp(q, 0.0, 1.0) *
+                      static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+}
+
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

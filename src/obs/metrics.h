@@ -80,6 +80,16 @@ class Histogram {
   double max_ = 0;
 };
 
+/// Exact quantile (q in [0, 1]) of retained samples: sorts a copy and
+/// interpolates linearly between the order statistics around rank
+/// q * (n - 1), so q = 0 / 1 give the min / max and one sample is every
+/// quantile; an empty input gives 0. Use it wherever every sample is kept
+/// (report aggregates, soak and sweep tables; the committed baselines are
+/// computed this way). Use Histogram::quantile where only bucket counts are
+/// kept (mergeable registries, per-site wall timings), at up to one
+/// bucket's relative error.
+double sample_quantile(std::vector<double> samples, double q);
+
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }

@@ -2,8 +2,8 @@
 // membership, epoch, lifecycle state.
 //
 // This is one of the genuinely cross-thread structures of the multi-group
-// server: worker threads publish status rows for the groups pinned to their
-// shard while the main thread reads counts and snapshots, so every field is
+// server: worker threads publish status rows for the groups they advance
+// while the main thread reads counts and snapshots, so every field is
 // behind a real mutex (SGK_GUARDED_BY — verified by gka_lint GKA5xx and
 // Clang -Wthread-safety) rather than a confinement marker. Snapshots are
 // returned in ascending group-id order, which is what keeps aggregate

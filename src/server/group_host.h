@@ -6,9 +6,10 @@
 // advancing is owned by the host, except two structures with real locks —
 // the server-wide Pki (process ids are globally unique thanks to the host's
 // disjoint SpreadParams::first_process_id block) and the SharedSpreadStats
-// sink it reports into at finalize. A host is only ever advanced by the one
-// worker that owns its shard, one epoch at a time, with the executor's
-// barrier ordering epochs — hence SGK_CONFINED_TO_RUN on the class itself.
+// sink it reports into at finalize. Each epoch a host is advanced by exactly
+// one worker (whichever claimed it; it may be a different one next epoch),
+// with the executor's barrier ordering epochs — hence SGK_CONFINED_TO_RUN on
+// the class itself.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,7 @@ struct GroupReport {
 };
 
 class GroupHost final : public fault::ChurnTarget {
-  // Owned by one shard; advanced by at most one worker at a time (the
+  // Advanced by exactly one worker per epoch, not always the same one (the
   // executor's epoch barrier separates slices). Shared structures it touches
   // (Pki, SharedSpreadStats) carry their own locks.
   SGK_CONFINED_TO_RUN;

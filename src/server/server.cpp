@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <string>
@@ -12,21 +13,6 @@
 #include "util/check.h"
 
 namespace sgk::server {
-
-namespace {
-
-/// Nearest-rank quantile with interpolation over a copy of `v`.
-double sample_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-}  // namespace
 
 GroupServer::GroupServer(ServerConfig config)
     : config_(std::move(config)), pki_(std::make_shared<Pki>()) {
@@ -76,11 +62,10 @@ ServerResult GroupServer::run() {
     directory_.register_group(specs.back());
     max_deadline = std::max(max_deadline, group_deadline_ms(specs.back()));
   }
-  hosts_.resize(n);  // slots are shard-owned from here until the last barrier
+  hosts_.resize(n);  // each epoch, a slot belongs to the worker that claimed it
 
   const Topology topo = lan_testbed(config_.machines_per_group);
   ShardExecutor exec(config_.threads);
-  const int shards = exec.threads();
 
   ServerResult result;
   {
@@ -91,9 +76,15 @@ ServerResult GroupServer::run() {
       t += config_.epoch_window_ms;
       {
         obs::WallScope epoch_scope("server/epoch");
-        exec.run_epoch([&](int shard) {
-          for (std::size_t gid = static_cast<std::size_t>(shard); gid < n;
-               gid += static_cast<std::size_t>(shards)) {
+        // Work sharing: each worker claims the next unclaimed slot until all
+        // n are claimed, so an idle worker picks up the next runnable group
+        // instead of waiting at the barrier. The atomic claim hands every
+        // slot to exactly one worker; the barrier orders the epochs, so
+        // relaxed ordering suffices.
+        std::atomic<std::size_t> cursor{0};
+        exec.run_epoch([&](int /*worker*/) {
+          for (std::size_t gid = cursor.fetch_add(1, std::memory_order_relaxed);
+               gid < n; gid = cursor.fetch_add(1, std::memory_order_relaxed)) {
             auto& slot = hosts_[gid];
             if (!slot) {
               if (specs[gid].onboard_at_ms > t) continue;
@@ -167,10 +158,10 @@ ServerResult GroupServer::run() {
                                  report.batch.event_to_key_ms.end());
     result.groups.push_back(std::move(report));
   }
-  result.onboard_p50_ms = sample_quantile(onboard_ms, 0.50);
-  result.onboard_p99_ms = sample_quantile(onboard_ms, 0.99);
-  result.event_to_key_p50_ms = sample_quantile(event_to_key_ms, 0.50);
-  result.event_to_key_p99_ms = sample_quantile(event_to_key_ms, 0.99);
+  result.onboard_p50_ms = obs::sample_quantile(onboard_ms, 0.50);
+  result.onboard_p99_ms = obs::sample_quantile(onboard_ms, 0.99);
+  result.event_to_key_p50_ms = obs::sample_quantile(event_to_key_ms, 0.50);
+  result.event_to_key_p99_ms = obs::sample_quantile(event_to_key_ms, 0.99);
   const double makespan_s = result.virtual_makespan_ms / 1000.0;
   if (makespan_s > 0.0) {
     result.groups_per_sec =
@@ -182,9 +173,9 @@ ServerResult GroupServer::run() {
                             static_cast<double>(result.events_applied);
   }
   result.batch_event_to_key_p50_ms =
-      sample_quantile(batch_event_to_key_ms, 0.50);
+      obs::sample_quantile(batch_event_to_key_ms, 0.50);
   result.batch_event_to_key_p99_ms =
-      sample_quantile(batch_event_to_key_ms, 0.99);
+      obs::sample_quantile(batch_event_to_key_ms, 0.99);
   result.shared_messages_stamped = shared_stats_.stamped_total();
   result.shared_processes = shared_stats_.processes_total();
   if (ambient != nullptr) {
@@ -262,9 +253,10 @@ obs::Json ServerResult::to_json(bool with_groups) const {
     row.set("groups", obs::Json(r.hosted));
     row.set("converged", obs::Json(r.converged));
     row.set("rekeys", obs::Json(r.rekeys));
-    row.set("onboard_p50_ms", obs::Json(sample_quantile(r.onboard_ms, 0.50)));
+    row.set("onboard_p50_ms",
+            obs::Json(obs::sample_quantile(r.onboard_ms, 0.50)));
     row.set("event_to_key_p99_ms",
-            obs::Json(sample_quantile(r.event_to_key_ms, 0.99)));
+            obs::Json(obs::sample_quantile(r.event_to_key_ms, 0.99)));
     protos.push(std::move(row));
   }
   j.set("protocols", std::move(protos));
@@ -283,7 +275,7 @@ obs::Json ServerResult::to_json(bool with_groups) const {
       row.set("onboard_ms", obs::Json(g.onboard_ms));
       row.set("settled_ms", obs::Json(g.settled_ms));
       row.set("event_to_key_p99_ms",
-              obs::Json(sample_quantile(g.event_to_key_ms, 0.99)));
+              obs::Json(obs::sample_quantile(g.event_to_key_ms, 0.99)));
       row.set("fingerprint", obs::Json(g.fingerprint));
       rows.push(std::move(row));
     }

@@ -1,17 +1,20 @@
 // GroupServer: hosts N independent secure groups over one shared daemon
-// topology shape and executes them in parallel across shard workers with
+// topology shape and executes them in parallel across worker threads with
 // bit-for-bit deterministic output.
 //
 // Execution model (docs/multi_group.md has the long form):
 //  * Every group gets its own seeded schedule (Simulator + SpreadNetwork +
-//    churn plan derived from fault_hash(seed, gid)), a disjoint process-id
-//    block, and a pin to shard gid % threads.
+//    churn plan derived from fault_hash(seed, gid)) and a disjoint
+//    process-id block.
 //  * Time advances on a fixed epoch grid (epoch_window_ms). Each epoch, the
-//    ShardExecutor runs every shard once: a worker lazily constructs hosts
-//    whose onboard time has arrived and advances each unfinished host of its
-//    shard to the epoch end (skipping hosts whose next_event_time() lies
-//    beyond it — conservative lookahead). The epoch barrier then orders all
-//    worker writes before the next epoch and before main-thread reads.
+//    ShardExecutor runs the epoch closure once on every worker: workers claim
+//    group ids from a shared cursor until all are claimed, so each group is
+//    advanced by exactly one worker per epoch (which worker may change from
+//    epoch to epoch). For a claimed group the worker lazily constructs its
+//    host once the onboard time has arrived and advances it to the epoch end
+//    (skipping hosts whose next_event_time() lies beyond it — conservative
+//    lookahead). The epoch barrier then orders all worker writes before the
+//    next epoch and before main-thread reads.
 //  * Results are aggregated on the main thread in ascending group-id order,
 //    so reports are byte-identical for any thread count.
 #pragma once
@@ -115,7 +118,7 @@ struct ServerResult {
 
 class GroupServer {
   // Orchestrator state is main-thread-owned: workers only ever touch the
-  // host slots of their shard (handed out via the epoch closure) plus the
+  // host slots they claimed this epoch (via the epoch closure) plus the
   // individually locked shared structures (Pki, GroupDirectory,
   // SharedSpreadStats). The epoch barrier orders every slot hand-off.
   SGK_CONFINED_TO_RUN;
@@ -146,7 +149,7 @@ class GroupServer {
   std::shared_ptr<Pki> pki_;
   GroupDirectory directory_;
   SharedSpreadStats shared_stats_;
-  std::vector<std::unique_ptr<GroupHost>> hosts_;  // slot gid; shard-owned
+  std::vector<std::unique_ptr<GroupHost>> hosts_;  // by gid; claimed per epoch
   bool ran_ = false;
 };
 

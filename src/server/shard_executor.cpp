@@ -8,8 +8,8 @@ ShardExecutor::ShardExecutor(int threads) : threads_(threads) {
   SGK_CHECK(threads >= 1);
   if (threads_ == 1) return;  // inline mode, no pool
   workers_.reserve(static_cast<std::size_t>(threads_));
-  for (int shard = 0; shard < threads_; ++shard) {
-    workers_.emplace_back([this, shard] { worker_loop(shard); });
+  for (int worker = 0; worker < threads_; ++worker) {
+    workers_.emplace_back([this, worker] { worker_loop(worker); });
   }
 }
 
@@ -43,7 +43,7 @@ void ShardExecutor::run_epoch(const std::function<void(int)>& fn) {
   task_ = nullptr;
 }
 
-void ShardExecutor::worker_loop(int shard) {
+void ShardExecutor::worker_loop(int worker) {
   std::uint64_t seen = 0;
   while (true) {
     const std::function<void(int)>* task = nullptr;
@@ -56,7 +56,7 @@ void ShardExecutor::worker_loop(int shard) {
       seen = generation_;
       task = task_;
     }
-    (*task)(shard);
+    (*task)(worker);
     bool last = false;
     {
       std::lock_guard<std::mutex> lock(pool_mu_);

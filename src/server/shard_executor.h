@@ -1,18 +1,20 @@
-// Fixed pool of worker threads that executes one "epoch" of shard work at a
-// time, with a full barrier between epochs.
+// Fixed pool of worker threads that executes one "epoch" of work at a time,
+// with a full barrier between epochs.
 //
-// The multi-group server pins every group to one shard (gid % threads), so
-// within an epoch no two workers ever touch the same group and the only
-// shared state is the epoch hand-off itself — a generation counter and a
-// remaining-shards count, both behind pool_mu_ with real SGK_GUARDED_BY
+// The multi-group server's epoch closure hands every group to exactly one
+// worker per epoch (workers claim group ids from a shared atomic cursor), so
+// within an epoch no two workers ever touch the same group. The executor's
+// own shared state is the epoch hand-off — a generation counter and a
+// remaining-workers count, both behind pool_mu_ with real SGK_GUARDED_BY
 // guards (gka_lint GKA5xx and Clang -Wthread-safety both verify them).
 //
 // Determinism: the barrier gives run_epoch() release/acquire semantics — all
 // worker writes in epoch N happen-before the caller's reads after
 // run_epoch(N) returns and before every worker's reads in epoch N+1. Since
 // each group's events are replayed by a seeded single-threaded Simulator and
-// shard assignment never lets two workers interleave inside one group, the
-// bytes a run produces are independent of thread count and scheduling.
+// no epoch hands one group to two workers, the bytes a run produces are
+// independent of thread count, scheduling, and which worker advanced a group
+// in which epoch.
 #pragma once
 
 #include <condition_variable>
@@ -38,14 +40,14 @@ class ShardExecutor {
 
   int threads() const { return threads_; }
 
-  /// Runs `fn(shard)` once for every shard in [0, threads()) and returns
-  /// after all of them finished (the epoch barrier). `fn` must confine
-  /// itself to state owned by its shard (plus properly guarded shared
-  /// structures). Not reentrant.
+  /// Runs `fn(worker)` once for every worker index in [0, threads()) and
+  /// returns after all of them finished (the epoch barrier). `fn` must
+  /// confine itself to state no other worker touches in this epoch (plus
+  /// properly guarded shared structures). Not reentrant.
   void run_epoch(const std::function<void(int)>& fn);
 
  private:
-  void worker_loop(int shard);
+  void worker_loop(int worker);
 
   const int threads_;
   std::vector<std::thread> workers_;

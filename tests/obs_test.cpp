@@ -106,6 +106,22 @@ TEST(Histogram, SingleObservationQuantilesClampToValue) {
   EXPECT_DOUBLE_EQ(h.quantile(0.95), 3.7);
 }
 
+// The one exact-quantile convention every report and baseline uses: linear
+// interpolation between the order statistics around rank q * (n - 1).
+TEST(SampleQuantile, InterpolatesBetweenOrderStatistics) {
+  EXPECT_DOUBLE_EQ(sample_quantile({}, 0.5), 0.0);
+  for (double q : {0.0, 0.5, 0.95, 1.0})
+    EXPECT_DOUBLE_EQ(sample_quantile({3.7}, q), 3.7) << "q=" << q;
+  // Unsorted input; sorted it is {10, 20, 30, 40, 50}.
+  const std::vector<double> v = {40.0, 10.0, 50.0, 30.0, 20.0};
+  EXPECT_DOUBLE_EQ(sample_quantile(v, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(sample_quantile(v, 0.5), 30.0);   // rank 2
+  EXPECT_DOUBLE_EQ(sample_quantile(v, 0.95), 48.0);  // rank 3.8
+  EXPECT_DOUBLE_EQ(sample_quantile(v, 1.0), 50.0);
+  EXPECT_DOUBLE_EQ(sample_quantile({1.0, 2.0}, 0.5), 1.5);
+  EXPECT_DOUBLE_EQ(sample_quantile({1.0, 2.0, 3.0, 4.0}, 0.5), 2.5);
+}
+
 TEST(MetricsRegistry, CountersAndJson) {
   MetricsRegistry reg;
   reg.counter("a/b").add(3);

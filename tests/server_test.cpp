@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/plan.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "server/group_directory.h"
@@ -33,12 +34,34 @@ ServerConfig small_config(int threads) {
   return cfg;
 }
 
-/// Runs a small server and assembles the same deterministic RunReport a
-/// bench would write (payload section + merged metrics; no wall clock).
-std::string report_bytes(int threads) {
+/// The perfbench storm_faulty shape at test size: bursty storms, batched
+/// rekeying, 5% wire faults, and more groups than any thread count below,
+/// onboarding 1 ms apart so every group is busy in the same epochs. Workers
+/// claim groups as they free up, so groups move between workers from one
+/// epoch to the next.
+ServerConfig storm_faulty_config(int threads) {
+  ServerConfig cfg;
+  cfg.groups = 12;
+  cfg.members_per_group = 4;
+  cfg.churn_events = 12;
+  cfg.threads = threads;
+  cfg.seed = 11;
+  cfg.storm = StormKind::kBursty;
+  cfg.burst_size = 4;
+  cfg.batch.enabled = true;
+  cfg.batch.min_window_ms = 4.0;
+  cfg.batch.max_window_ms = 256.0;
+  cfg.batch.latency_budget_ms = 3000.0;
+  cfg.rates = fault::FaultRates::uniform(0.05);
+  return cfg;
+}
+
+/// Runs a server and assembles the same deterministic RunReport a bench
+/// would write (payload section + merged metrics; no wall clock).
+std::string report_bytes(const ServerConfig& cfg) {
   obs::MetricsRegistry registry;
   obs::ScopedMetrics scoped(&registry);
-  GroupServer server(small_config(threads));
+  GroupServer server(cfg);
   const ServerResult result = server.run();
   obs::RunReport report("server_test");
   report.add_section("multi_group", result.to_json(/*with_groups=*/true));
@@ -46,19 +69,27 @@ std::string report_bytes(int threads) {
   return report.json().dump(2);
 }
 
-// The determinism regression: one worker thread vs eight, byte-identical
-// RunReport JSON (group rows, aggregate quantiles, every metric counter).
+// The determinism regression: byte-identical RunReport JSON (group rows,
+// aggregate quantiles, every merged metric) at every thread count — more
+// threads than groups on the small fleet, and groups changing workers
+// between epochs on the storm-with-faults fleet.
 TEST(GroupServerDeterminism, ThreadCountDoesNotChangeReportBytes) {
-  const std::string one = report_bytes(1);
-  const std::string eight = report_bytes(8);
+  const std::string one = report_bytes(small_config(1));
   ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, eight);
+  EXPECT_EQ(one, report_bytes(small_config(8)));
+
+  const std::string storm = report_bytes(storm_faulty_config(1));
+  ASSERT_NE(storm.find("\"batch\""), std::string::npos);
+  for (int threads : {2, 3, 5}) {
+    EXPECT_EQ(storm, report_bytes(storm_faulty_config(threads)))
+        << threads << " threads";
+  }
 }
 
 // Re-running the same config must also be bit-stable (seeded schedules,
 // no ambient entropy).
 TEST(GroupServerDeterminism, RerunIsByteIdentical) {
-  EXPECT_EQ(report_bytes(2), report_bytes(2));
+  EXPECT_EQ(report_bytes(small_config(2)), report_bytes(small_config(2)));
 }
 
 TEST(GroupServer, SmallFleetConvergesAndAggregates) {
