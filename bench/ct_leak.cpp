@@ -2,22 +2,27 @@
 // after Reparaz, Balasch and Verbauwhede, "Dude, is my code constant time?"
 // (DATE 2017).
 //
-// For each context, exponentiations with a fixed exponent (one set bit at
-// the top: a single non-zero window) and with uniformly random exponents of
-// the same length are interleaved in a DRBG-chosen order and timed one by
-// one. A Welch t-test compares the two classes after cropping the pooled
-// samples at their 90th percentile (preemption spikes). |t| > 4.5 is read
-// as a leak, as in the paper.
+// Each row interleaves exponentiations of two input classes in a
+// DRBG-chosen order and times them one by one. A Welch t-test compares the
+// two classes after cropping the pooled samples at their 90th percentile
+// (preemption spikes). |t| > 4.5 is read as a leak, as in the paper.
 //
-// The secret path is checked at K = 8 (DH-512) and K = 16 (DH-1024), both
-// with a random base (fixed 4-bit windows) and with the generator g on a
-// context that holds it as fixed base (the Lim-Lee comb; its table is built
-// before timing starts). The public sliding-window path on the same DH-512
-// modulus is run as a control that must show a leak: it does one multiply
-// per non-zero window, so the fixed class is much faster. The program
-// always exits 0 (report only).
+// Exponent rows fix the base and compare a fixed exponent (one set bit at
+// the top: a single non-zero window) with uniformly random exponents of the
+// same length. They check the secret path at K = 8 (DH-512) and K = 16
+// (DH-1024), both with a random base (fixed 4-bit windows) and with the
+// generator g on a context that holds it as fixed base (the Lim-Lee comb;
+// its table is built before timing starts). The public sliding-window path
+// on the same DH-512 modulus is run as a control that must show a leak: it
+// does one multiply per non-zero window, so the fixed class is much faster.
 //
-// Usage: ct_leak [--samples N]   (N per class and context; default 5000)
+// Base rows fix the exponent and vary the base, and with it every value the
+// squarings work on: a fixed base against random bases, with a 512-bit
+// exponent on a 512-bit modulus (the shape of an RSA-CRT half, K = 8) and
+// with a 160-bit exponent at K = 16; and the edge bases 0, 1 and n - 1 in
+// turn against random bases. The program always exits 0 (report only).
+//
+// Usage: ct_leak [--samples N]   (N per class and row; default 5000)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -54,17 +59,26 @@ double welch_t(const Moments& a, const Moments& b) {
   return se > 0 ? (a.mean - b.mean) / se : 0;
 }
 
-void check(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
-           std::size_t ebits, std::size_t samples, Drbg& rng) {
-  const BigInt fixed = BigInt(1) << (ebits - 1);
-  ctx.exp(base, fixed);  // builds a comb table outside the timed samples
+// One timed exponentiation: base ^ e.
+struct Input {
+  BigInt base;
+  BigInt e;
+};
+
+// Times ctx.exp on `samples` inputs of each class; draw(c) returns an input
+// of class c (0: the fixed class) and is called outside the timed region.
+template <typename Draw>
+void check(const char* name, const MontgomeryCtx& ctx, std::size_t samples,
+           Drbg& rng, Draw draw) {
+  const Input warm = draw(0);
+  ctx.exp(warm.base, warm.e);  // builds a comb table outside the timed samples
   std::vector<double> times[2];
   while (times[0].size() < samples || times[1].size() < samples) {
     const std::size_t cls = rng.next_u64(2);
     if (times[cls].size() == samples) continue;
-    const BigInt e = cls == 0 ? fixed : BigInt::random_bits(ebits, rng);
+    const Input in = draw(cls);
     const std::uint64_t t0 = obs::wall_now_ns();
-    const BigInt r = ctx.exp(base, e);
+    const BigInt r = ctx.exp(in.base, in.e);
     const std::uint64_t t1 = obs::wall_now_ns();
     times[cls].push_back(static_cast<double>(t1 - t0));
   }
@@ -80,10 +94,32 @@ void check(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
       if (t <= crop) m[c].add(t);
 
   const double t = std::fabs(welch_t(m[0], m[1]));
-  std::printf("%-44s fixed n=%-6.0f mean=%9.0f ns  random n=%-6.0f mean=%9.0f ns"
+  std::printf("%-48s fixed n=%-6.0f mean=%9.0f ns  random n=%-6.0f mean=%9.0f ns"
               "  |t|=%7.2f  %s\n",
               name, m[0].n, m[0].mean, m[1].n, m[1].mean, t,
               t > kThreshold ? "LEAK" : "no leak detected");
+}
+
+// Exponent row: base fixed, a fixed exponent (top bit only) against random
+// exponents of `ebits` bits.
+void check_exponents(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
+                     std::size_t ebits, std::size_t samples, Drbg& rng) {
+  const BigInt fixed = BigInt(1) << (ebits - 1);
+  check(name, ctx, samples, rng, [&](std::size_t cls) {
+    return Input{base, cls == 0 ? fixed : BigInt::random_bits(ebits, rng)};
+  });
+}
+
+// Base row: exponent fixed, bases from `fixed_class` (cycled) against random
+// bases below the modulus.
+void check_bases(const char* name, const MontgomeryCtx& ctx,
+                 const std::vector<BigInt>& fixed_class, const BigInt& e,
+                 std::size_t samples, Drbg& rng) {
+  std::size_t next = 0;
+  check(name, ctx, samples, rng, [&](std::size_t cls) {
+    if (cls == 1) return Input{BigInt::random_below(ctx.modulus(), rng), e};
+    return Input{fixed_class[next++ % fixed_class.size()], e};
+  });
 }
 
 }  // namespace
@@ -106,23 +142,43 @@ int main(int argc, char** argv) {
   const sgk::DhGroup& g1024 = sgk::dh_group(DhBits::k1024);
   const std::size_t qbits = g512.q().bit_length();
   sgk::Drbg rng(1, "ct_leak");
-  std::printf("Welch t-test, fixed vs random %zu-bit exponents; leak if |t| > %.1f\n",
-              qbits, sgk::kThreshold);
+  std::printf("Welch t-test, fixed vs random class; leak if |t| > %.1f\n",
+              sgk::kThreshold);
   auto random_base = [&rng](const sgk::BigInt& p) {
     return sgk::BigInt::random_below(p, rng);
   };
-  sgk::check("DH-512 secret path (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
-             random_base(g512.p()), qbits, samples, rng);
-  sgk::check("DH-1024 secret path (K=16)", sgk::MontgomeryCtx(g1024.p(), qbits),
-             random_base(g1024.p()), qbits, samples, rng);
-  sgk::check("DH-512 fixed-base comb, g (K=8)",
-             sgk::MontgomeryCtx(g512.p(), qbits, g512.g()), g512.g(), qbits,
-             samples, rng);
-  sgk::check("DH-1024 fixed-base comb, g (K=16)",
-             sgk::MontgomeryCtx(g1024.p(), qbits, g1024.g()), g1024.g(), qbits,
-             samples, rng);
-  sgk::check("DH-512 public path (control, should leak)",
-             sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), qbits, samples,
-             rng);
+  std::printf("Exponent rows: fixed vs random %zu-bit exponents\n", qbits);
+  sgk::check_exponents("DH-512 secret path (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
+                       random_base(g512.p()), qbits, samples, rng);
+  sgk::check_exponents("DH-1024 secret path (K=16)",
+                       sgk::MontgomeryCtx(g1024.p(), qbits),
+                       random_base(g1024.p()), qbits, samples, rng);
+  sgk::check_exponents("DH-512 fixed-base comb, g (K=8)",
+                       sgk::MontgomeryCtx(g512.p(), qbits, g512.g()), g512.g(),
+                       qbits, samples, rng);
+  sgk::check_exponents("DH-1024 fixed-base comb, g (K=16)",
+                       sgk::MontgomeryCtx(g1024.p(), qbits, g1024.g()), g1024.g(),
+                       qbits, samples, rng);
+  sgk::check_exponents("DH-512 public path (control, should leak)",
+                       sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), qbits,
+                       samples, rng);
+
+  std::printf("Base rows: fixed exponent, fixed or edge vs random bases\n");
+  const std::size_t wide = g512.p().bit_length();
+  const sgk::MontgomeryCtx crt(g512.p(), wide);  // RSA-CRT-half shape
+  const sgk::MontgomeryCtx dh1024(g1024.p(), qbits);
+  const sgk::BigInt e_wide = sgk::BigInt::random_bits(wide, rng);
+  const sgk::BigInt e_q = sgk::BigInt::random_bits(qbits, rng);
+  auto edges = [](const sgk::BigInt& p) {
+    return std::vector<sgk::BigInt>{sgk::BigInt(), sgk::BigInt(1), p - sgk::BigInt(1)};
+  };
+  sgk::check_bases("512-bit exponent, fixed base (K=8)", crt,
+                   {random_base(g512.p())}, e_wide, samples, rng);
+  sgk::check_bases("DH-1024 160-bit exponent, fixed base (K=16)", dh1024,
+                   {random_base(g1024.p())}, e_q, samples, rng);
+  sgk::check_bases("512-bit exponent, bases 0/1/n-1 (K=8)", crt, edges(g512.p()),
+                   e_wide, samples, rng);
+  sgk::check_bases("DH-1024 160-bit exponent, bases 0/1/n-1 (K=16)", dh1024,
+                   edges(g1024.p()), e_q, samples, rng);
   return 0;
 }

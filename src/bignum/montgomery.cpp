@@ -76,6 +76,12 @@ struct Accumulator {
     top += __builtin_add_overflow(low, static_cast<u128>(a) * b, &low);
   }
 
+  // += 2 * c, carrying the bit doubled out of c's low words.
+  void add_twice(const Accumulator& c) {
+    top += (c.top << 1 | static_cast<u64>(c.low >> 127)) +
+           __builtin_add_overflow(low, c.low << 1, &low);
+  }
+
   u64 word0() const { return static_cast<u64>(low); }
 
   // Returns the lowest word and shifts the accumulator down one word.
@@ -95,7 +101,10 @@ struct Modulus {
 };
 
 // The kernel, written once over the limb count. K = 8 and K = 16 compile
-// with a constant limb count; K = 0 reads it from the modulus at run time and
+// with a constant limb count, and their column loops unroll completely
+// (`#pragma GCC unroll 16`: the pragma takes a literal, not K, so K = 0's
+// loops are unrolled by 16 with a remainder, which measured neither faster
+// nor slower); K = 0 reads the limb count from the modulus at run time and
 // sizes its stack arrays for kMaxLimbs. Values are fully reduced (< n) limb
 // arrays of k limbs; Montgomery form is v * R mod n with R = 2^(64k).
 template <std::size_t K>
@@ -127,7 +136,7 @@ class Kernel {
   /// base ^ e mod n for 0 < e < 2^width, from build_comb's `table` for that
   /// base and width.
   BigInt comb_exp(const u64* table, const BigInt& e, std::size_t width) const {
-    Limbs acc;
+    Limbs acc = {};  // comb() writes it first; -Wmaybe-uninitialized cannot see that at -O3
     comb(acc, table, e, width);
     mul(acc, acc, kOne);
     return to_bigint(acc);
@@ -155,7 +164,7 @@ class Kernel {
         for (std::size_t j = 0; j < kCombTables; ++j)
           if (i * s.block + j * s.columns == t) copy(entry(j, std::size_t{1} << i), p);
       if (t == last) break;
-      mul(p, p, p);
+      sqr(p, p);
     }
     for (std::size_t j = 0; j < kCombTables; ++j) {
       mul(entry(j, 0), mod_.r2, kOne);  // R mod n
@@ -188,7 +197,9 @@ class Kernel {
     Limbs m;
     Limbs t;
     Accumulator acc;
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < k; ++i) {
+#pragma GCC unroll 16
       for (std::size_t j = 0; j < i; ++j) {
         acc.mac(a[j], b[i - j]);
         acc.mac(m[j], n[i - j]);
@@ -198,11 +209,52 @@ class Kernel {
       acc.mac(m[i], n[0]);  // clears the low word
       acc.shift();
     }
+#pragma GCC unroll 16
     for (std::size_t i = k; i < 2 * k; ++i) {
+#pragma GCC unroll 16
       for (std::size_t j = i - k + 1; j < k; ++j) {
         acc.mac(a[j], b[i - j]);
         acc.mac(m[j], n[i - j]);
       }
+      t[i - k] = acc.shift();
+    }
+    final_sub(out, t, acc.word0());
+  }
+
+  // out = a * a / R mod n for a < n, in mul's column order. Column i sums
+  // its cross products a[j] * a[i - j] (j < i - j) once into a second
+  // accumulator and adds them twice, then the diagonal a[i/2]^2 for even i,
+  // then the reduction terms. out may alias a. K = 0 squares through mul,
+  // which measured faster than this routine at 3 and 5 limbs.
+  void sqr(u64* out, const u64* a) const {
+    if constexpr (K == 0) return mul(out, a, a);
+    const std::size_t k = limbs();
+    const u64* n = mod_.n;
+    Limbs m;
+    Limbs t;
+    Accumulator acc;
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < k; ++i) {
+      Accumulator cross;
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < i - j; ++j) cross.mac(a[j], a[i - j]);
+      acc.add_twice(cross);
+      if (i % 2 == 0) acc.mac(a[i / 2], a[i / 2]);
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < i; ++j) acc.mac(m[j], n[i - j]);
+      m[i] = acc.word0() * mod_.n0_inv;
+      acc.mac(m[i], n[0]);  // clears the low word
+      acc.shift();
+    }
+#pragma GCC unroll 16
+    for (std::size_t i = k; i < 2 * k; ++i) {
+      Accumulator cross;
+#pragma GCC unroll 16
+      for (std::size_t j = i - k + 1; j < i - j; ++j) cross.mac(a[j], a[i - j]);
+      acc.add_twice(cross);
+      if (i % 2 == 0) acc.mac(a[i / 2], a[i / 2]);
+#pragma GCC unroll 16
+      for (std::size_t j = i - k + 1; j < k; ++j) acc.mac(m[j], n[i - j]);
       t[i - k] = acc.shift();
     }
     final_sub(out, t, acc.word0());
@@ -215,6 +267,7 @@ class Kernel {
     const u64* n = mod_.n;
     Limbs d;
     u64 borrow = 0;
+#pragma GCC unroll 16
     for (std::size_t j = 0; j < k; ++j) {
       u64 diff;
       const bool b1 = __builtin_sub_overflow(t[j], n[j], &diff);
@@ -223,6 +276,7 @@ class Kernel {
       borrow = static_cast<u64>(b1 || b2);
     }
     const u64 keep = 0 - (borrow & (carry ^ 1));
+#pragma GCC unroll 16
     for (std::size_t j = 0; j < k; ++j) out[j] = (t[j] & keep) | (d[j] & ~keep);
   }
 
@@ -242,7 +296,7 @@ class Kernel {
     select(acc, table[0], kCap, window(ebuf, windows - 1));
     Limbs entry;
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (std::size_t s = 0; s < kFixedWindow; ++s) mul(acc, acc, acc);
+      for (std::size_t s = 0; s < kFixedWindow; ++s) sqr(acc, acc);
       select(entry, table[0], kCap, window(ebuf, w));
       mul(acc, acc, entry);
     }
@@ -263,7 +317,7 @@ class Kernel {
     Limbs entry;
     bool first = true;
     for (std::size_t c = s.columns; c-- > 0;) {
-      if (!first) mul(acc, acc, acc);
+      if (!first) sqr(acc, acc);
       for (std::size_t j = kCombTables; j-- > 0;) {
         const std::size_t offset = j * s.columns + c;
         u64 index = 0;
@@ -292,7 +346,7 @@ class Kernel {
     copy(table[0], b);
     if (width > 1) {
       Limbs sq;
-      mul(sq, b, b);
+      sqr(sq, b);
       for (std::size_t i = 1; i < (std::size_t{1} << (width - 1)); ++i)
         mul(table[i], table[i - 1], sq);
     }
@@ -300,7 +354,7 @@ class Kernel {
     bool first = true;  // the top bit is set, so the first window starts at once
     for (std::size_t i = ebits; i > 0;) {
       if (bit(i - 1) == 0) {
-        mul(acc, acc, acc);
+        sqr(acc, acc);
         --i;
         continue;
       }
@@ -313,7 +367,7 @@ class Kernel {
         copy(acc, table[value >> 1]);
         first = false;
       } else {
-        for (std::size_t s = 0; s < len; ++s) mul(acc, acc, acc);
+        for (std::size_t s = 0; s < len; ++s) sqr(acc, acc);
         mul(acc, acc, table[value >> 1]);
       }
       i -= len;

@@ -9,8 +9,15 @@
 // One product-scanning kernel serves every modulus. It works on stack
 // arrays (nothing is allocated inside an exponentiation), is compiled for a
 // fixed limb count of 8 and 16 (DH-512 and the RSA-1024 CRT halves; DH-1024
-// and RSA-1024), and runs every other size with a runtime limb count of up
-// to kMaxLimbs. exp() takes one of two paths:
+// and RSA-1024) with its column loops fully unrolled, and runs every other
+// size with a runtime limb count of up to kMaxLimbs. At 8 and 16 limbs every
+// squaring of an exponentiation or comb build runs a dedicated squaring:
+// each column's cross products are summed once and doubled without a
+// branch, then the diagonal term and the reduction terms are added, about
+// three quarters of the product's limb multiplies. Like the product, it runs
+// one instruction sequence for every input and leaves nothing visible beyond
+// the limb count. At runtime limb counts squarings run the product, which
+// measured faster there. exp() takes one of two paths:
 //
 //  * secret path: a context built with a secret exponent width runs every
 //    exponent of 64 bits up to that width in fixed 4-bit windows over the

@@ -4,7 +4,6 @@
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
-#include "crypto/sha1.h"
 #include "crypto/sha256.h"
 #include "util/bytes.h"
 
@@ -47,37 +46,6 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 h;
   for (std::size_t i = 0; i < msg.size(); ++i) h.update(&msg[i], 1);
   EXPECT_EQ(h.finish(), Sha256::digest(msg));
-}
-
-// FIPS 180-1 / RFC 3174 SHA-1 vectors.
-TEST(Sha1, EmptyString) {
-  EXPECT_EQ(to_hex(Sha1::digest({})),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-}
-
-TEST(Sha1, Abc) {
-  EXPECT_EQ(to_hex(Sha1::digest(str_bytes("abc"))),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
-TEST(Sha1, TwoBlockMessage) {
-  EXPECT_EQ(to_hex(Sha1::digest(str_bytes(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1, MillionAs) {
-  Sha1 h;
-  Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(to_hex(h.finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-}
-
-TEST(Sha1, IncrementalMatchesOneShot) {
-  Bytes msg = str_bytes("the quick brown fox jumps over the lazy dog");
-  Sha1 h;
-  for (std::size_t i = 0; i < msg.size(); ++i) h.update(&msg[i], 1);
-  EXPECT_EQ(h.finish(), Sha1::digest(msg));
 }
 
 // RFC 4231 test case 1.

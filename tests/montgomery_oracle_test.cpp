@@ -164,6 +164,82 @@ TEST_P(MontgomeryOracle, MulMatchesSchoolbook) {
   }
 }
 
+// ---- squaring --------------------------------------------------------------
+
+/// Moduli of `limbs` limbs that push the squaring to its edges: random with
+/// the top bit set, every bit set, and just above 2^(64 * limbs - 1). Near
+/// the top, operands have all-ones limbs, so doubled cross sums carry out of
+/// their low 128 bits; just above 2^(64k-1), the unreduced result often
+/// exceeds n, so the final subtraction fires.
+std::vector<BigInt> squaring_moduli(std::size_t limbs, Drbg& rng) {
+  return {random_modulus(limbs, rng), all_ones(64 * limbs),
+          (BigInt(1) << (64 * limbs - 1)) + BigInt::random_bits(32, rng) * BigInt(2) +
+              BigInt(1)};
+}
+
+/// Operands for squaring chains below n: 0, 1, -1, -2 and a random one.
+std::vector<BigInt> squaring_operands(const BigInt& n, Drbg& rng) {
+  return {BigInt(), BigInt(1), n - BigInt(1), n - BigInt(2), BigInt::random_below(n, rng)};
+}
+
+/// a^(2^t) mod n for t = 0 .. steps, by repeated schoolbook squaring.
+std::vector<BigInt> oracle_squares(const BigInt& a, const BigInt& n, std::size_t steps) {
+  std::vector<BigInt> sq{a % n};
+  for (std::size_t t = 0; t < steps; ++t) sq.push_back(sq.back() * sq.back() % n);
+  return sq;
+}
+
+// Exponents 2^t are pure squaring chains: the public path squares t times
+// after its one-bit window, and the secret path squares four times per
+// window (its multiplies all pick the table's entry 1).
+TEST_P(MontgomeryOracle, SquaringChainsMatchSchoolbook) {
+  const std::size_t limbs = GetParam();
+  Drbg rng(limbs, "oracle-square");
+  const std::size_t width = 64 * limbs;
+  // Secret-path chains t = 63 .. width - 1 (exponents of 64 to width bits):
+  // every t up to 130, then every 13th (odd, so the set bit still moves
+  // through each window position) to bound the run time, and the last one.
+  std::vector<std::size_t> secret_ts;
+  for (std::size_t t = 63; t < width; t += t < 130 ? 1 : 13) secret_ts.push_back(t);
+  if (secret_ts.back() != width - 1) secret_ts.push_back(width - 1);
+  for (const BigInt& n : squaring_moduli(limbs, rng)) {
+    const MontgomeryCtx pub(n);
+    const MontgomeryCtx sec(n, width);
+    for (const BigInt& a : squaring_operands(n, rng)) {
+      const std::vector<BigInt> want = oracle_squares(a, n, width + 64);
+      for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{64},
+                            width, width + 64}) {
+        EXPECT_EQ(pub.exp(a, BigInt(1) << t), want[t])
+            << "public n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
+      }
+      for (std::size_t t : secret_ts) {
+        EXPECT_EQ(sec.exp(a, BigInt(1) << t), want[t])
+            << "secret n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
+      }
+    }
+  }
+}
+
+// The squaring routine against the product: 1000 chained squarings (exp by
+// 2^1000) equal 1000 chained products x * x (MontgomeryCtx::mul).
+TEST_P(MontgomeryOracle, SquaringChainEqualsProductChain) {
+  const std::size_t limbs = GetParam();
+  Drbg rng(limbs, "oracle-square-mul");
+  constexpr std::size_t kSteps = 1000;
+  for (const BigInt& n : squaring_moduli(limbs, rng)) {
+    // 17 limbs is wide enough to take 2^1000 on the secret path.
+    const MontgomeryCtx pub(n);
+    const MontgomeryCtx sec(n, 64 * limbs);
+    for (const BigInt& a : {n - BigInt(2), BigInt::random_below(n, rng)}) {
+      BigInt x = a;
+      for (std::size_t i = 0; i < kSteps; ++i) x = pub.mul(x, x);
+      const BigInt e = BigInt(1) << kSteps;
+      EXPECT_EQ(pub.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
+      EXPECT_EQ(sec.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Limbs, MontgomeryOracle,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17));
 

@@ -109,7 +109,6 @@ bool taint_exempt_path(const std::string& path) {
          path_contains(path, "crypto/hmac") ||
          path_contains(path, "crypto/hkdf") ||
          path_contains(path, "crypto/chacha20") ||
-         path_contains(path, "crypto/sha1") ||
          path_contains(path, "crypto/sha256") ||
          path_contains(path, "crypto/drbg");
 }
