@@ -1,26 +1,33 @@
-// Report-only timing-leak check of the constant-time exponentiation path,
-// after Reparaz, Balasch and Verbauwhede, "Dude, is my code constant time?"
-// (DATE 2017).
+// Report-only timing-leak check of the constant-time exponentiation path
+// and of the modular inverse, after Reparaz, Balasch and Verbauwhede, "Dude,
+// is my code constant time?" (DATE 2017).
 //
-// Each row interleaves exponentiations of two input classes in a
-// DRBG-chosen order and times them one by one. A Welch t-test compares the
-// two classes after cropping the pooled samples at their 90th percentile
-// (preemption spikes). |t| > 4.5 is read as a leak, as in the paper.
+// Each row interleaves operations on two input classes in a DRBG-chosen
+// order and times them one by one. A Welch t-test compares the two classes
+// after cropping the pooled samples at their 90th percentile (preemption
+// spikes). |t| > 4.5 is read as a leak, as in the paper.
 //
 // Exponent rows fix the base and compare a fixed exponent (one set bit at
 // the top: a single non-zero window) with uniformly random exponents of the
 // same length. They check the secret path at K = 8 (DH-512) and K = 16
 // (DH-1024), both with a random base (fixed 4-bit windows) and with the
 // generator g on a context that holds it as fixed base (the Lim-Lee comb;
-// its table is built before timing starts). The public sliding-window path
-// on the same DH-512 modulus is run as a control that must show a leak: it
-// does one multiply per non-zero window, so the fixed class is much faster.
+// its table is built before timing starts). An all-ones exponent, whose
+// every window selects the table's last entry, is compared with random
+// exponents at K = 8 and K = 16: a scan that stopped at the selected entry
+// would be slowest on it. The public sliding-window path on the same DH-512
+// modulus is run as a control that must show a leak: it does one multiply
+// per non-zero window, so the fixed class is much faster.
 //
 // Base rows fix the exponent and vary the base, and with it every value the
 // squarings work on: a fixed base against random bases, with a 512-bit
 // exponent on a 512-bit modulus (the shape of an RSA-CRT half, K = 8) and
 // with a 160-bit exponent at K = 16; and the edge bases 0, 1 and n - 1 in
-// turn against random bases. The program always exits 0 (report only).
+// turn against random bases.
+//
+// Inverse rows time mod_inverse (safegcd) of a fixed input against random
+// inputs below the DH-512 and DH-1024 primes. The program always exits 0
+// (report only).
 //
 // Usage: ct_leak [--samples N]   (N per class and row; default 5000)
 #include <algorithm>
@@ -30,6 +37,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bignum/modmath.h"
 #include "bignum/montgomery.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
@@ -59,26 +67,26 @@ double welch_t(const Moments& a, const Moments& b) {
   return se > 0 ? (a.mean - b.mean) / se : 0;
 }
 
-// One timed exponentiation: base ^ e.
+// One timed operation's operands: base ^ e mod the context's modulus, or
+// base^{-1} mod e for an inverse row.
 struct Input {
   BigInt base;
   BigInt e;
 };
 
-// Times ctx.exp on `samples` inputs of each class; draw(c) returns an input
-// of class c (0: the fixed class) and is called outside the timed region.
-template <typename Draw>
-void check(const char* name, const MontgomeryCtx& ctx, std::size_t samples,
-           Drbg& rng, Draw draw) {
-  const Input warm = draw(0);
-  ctx.exp(warm.base, warm.e);  // builds a comb table outside the timed samples
+// Times run(input) on `samples` inputs of each class; draw(c) returns an
+// input of class c (0: the fixed class) and is called outside the timed
+// region.
+template <typename Draw, typename Run>
+void check(const char* name, std::size_t samples, Drbg& rng, Draw draw, Run run) {
+  run(draw(0));  // warm-up; builds a comb table outside the timed samples
   std::vector<double> times[2];
   while (times[0].size() < samples || times[1].size() < samples) {
     const std::size_t cls = rng.next_u64(2);
     if (times[cls].size() == samples) continue;
     const Input in = draw(cls);
     const std::uint64_t t0 = obs::wall_now_ns();
-    const BigInt r = ctx.exp(in.base, in.e);
+    const BigInt r = run(in);
     const std::uint64_t t1 = obs::wall_now_ns();
     times[cls].push_back(static_cast<double>(t1 - t0));
   }
@@ -100,12 +108,20 @@ void check(const char* name, const MontgomeryCtx& ctx, std::size_t samples,
               t > kThreshold ? "LEAK" : "no leak detected");
 }
 
-// Exponent row: base fixed, a fixed exponent (top bit only) against random
-// exponents of `ebits` bits.
+// Row timing ctx.exp(base, e).
+template <typename Draw>
+void check_exp(const char* name, const MontgomeryCtx& ctx, std::size_t samples,
+               Drbg& rng, Draw draw) {
+  check(name, samples, rng, draw,
+        [&ctx](const Input& in) { return ctx.exp(in.base, in.e); });
+}
+
+// Exponent row: base fixed, the exponent `fixed` against random exponents
+// of its length.
 void check_exponents(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
-                     std::size_t ebits, std::size_t samples, Drbg& rng) {
-  const BigInt fixed = BigInt(1) << (ebits - 1);
-  check(name, ctx, samples, rng, [&](std::size_t cls) {
+                     const BigInt& fixed, std::size_t samples, Drbg& rng) {
+  const std::size_t ebits = fixed.bit_length();
+  check_exp(name, ctx, samples, rng, [&](std::size_t cls) {
     return Input{base, cls == 0 ? fixed : BigInt::random_bits(ebits, rng)};
   });
 }
@@ -116,10 +132,22 @@ void check_bases(const char* name, const MontgomeryCtx& ctx,
                  const std::vector<BigInt>& fixed_class, const BigInt& e,
                  std::size_t samples, Drbg& rng) {
   std::size_t next = 0;
-  check(name, ctx, samples, rng, [&](std::size_t cls) {
+  check_exp(name, ctx, samples, rng, [&](std::size_t cls) {
     if (cls == 1) return Input{BigInt::random_below(ctx.modulus(), rng), e};
     return Input{fixed_class[next++ % fixed_class.size()], e};
   });
+}
+
+// Inverse row: mod_inverse of a fixed input against random inputs in
+// [1, m).
+void check_inverse(const char* name, const BigInt& m, std::size_t samples, Drbg& rng) {
+  const BigInt fixed = BigInt::random_below(m - BigInt(1), rng) + BigInt(1);
+  check(
+      name, samples, rng,
+      [&](std::size_t cls) {
+        return Input{cls == 0 ? fixed : BigInt::random_below(m - BigInt(1), rng) + BigInt(1), m};
+      },
+      [](const Input& in) { return mod_inverse(in.base, in.e); });
 }
 
 }  // namespace
@@ -147,20 +175,28 @@ int main(int argc, char** argv) {
   auto random_base = [&rng](const sgk::BigInt& p) {
     return sgk::BigInt::random_below(p, rng);
   };
+  // The fixed exponents: the top bit alone, and every bit set.
+  const sgk::BigInt top = sgk::BigInt(1) << (qbits - 1);
+  const sgk::BigInt ones = (sgk::BigInt(1) << qbits) - sgk::BigInt(1);
   std::printf("Exponent rows: fixed vs random %zu-bit exponents\n", qbits);
   sgk::check_exponents("DH-512 secret path (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
-                       random_base(g512.p()), qbits, samples, rng);
+                       random_base(g512.p()), top, samples, rng);
   sgk::check_exponents("DH-1024 secret path (K=16)",
                        sgk::MontgomeryCtx(g1024.p(), qbits),
-                       random_base(g1024.p()), qbits, samples, rng);
+                       random_base(g1024.p()), top, samples, rng);
   sgk::check_exponents("DH-512 fixed-base comb, g (K=8)",
                        sgk::MontgomeryCtx(g512.p(), qbits, g512.g()), g512.g(),
-                       qbits, samples, rng);
+                       top, samples, rng);
   sgk::check_exponents("DH-1024 fixed-base comb, g (K=16)",
                        sgk::MontgomeryCtx(g1024.p(), qbits, g1024.g()), g1024.g(),
-                       qbits, samples, rng);
+                       top, samples, rng);
+  sgk::check_exponents("DH-512 all-ones exponent (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
+                       random_base(g512.p()), ones, samples, rng);
+  sgk::check_exponents("DH-1024 all-ones exponent (K=16)",
+                       sgk::MontgomeryCtx(g1024.p(), qbits), random_base(g1024.p()), ones,
+                       samples, rng);
   sgk::check_exponents("DH-512 public path (control, should leak)",
-                       sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), qbits,
+                       sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), top,
                        samples, rng);
 
   std::printf("Base rows: fixed exponent, fixed or edge vs random bases\n");
@@ -180,5 +216,9 @@ int main(int argc, char** argv) {
                    e_wide, samples, rng);
   sgk::check_bases("DH-1024 160-bit exponent, bases 0/1/n-1 (K=16)", dh1024,
                    edges(g1024.p()), e_q, samples, rng);
+
+  std::printf("Inverse rows: fixed vs random inputs\n");
+  sgk::check_inverse("mod_inverse, 512-bit modulus", g512.p(), samples, rng);
+  sgk::check_inverse("mod_inverse, 1024-bit modulus", g1024.p(), samples, rng);
   return 0;
 }

@@ -51,14 +51,24 @@ BigInt BigInt::from_hex(std::string_view hex) {
   return out;
 }
 
-BigInt BigInt::from_bytes(const Bytes& be) {
+BigInt BigInt::from_bytes(std::span<const std::uint8_t> be) {
+  // be is big-endian: limb i is the eight bytes ending 8 * i bytes before
+  // the end, and the leading size % 8 bytes form a short top limb.
   BigInt out;
-  std::size_t nlimbs = (be.size() + 7) / 8;
-  out.limbs_.assign(nlimbs, 0);
-  for (std::size_t i = 0; i < be.size(); ++i) {
-    // be is big-endian: be[size-1] is the least significant byte.
-    u64 v = be[be.size() - 1 - i];
-    out.limbs_[i / 8] |= v << (8 * (i % 8));
+  const std::size_t n = be.size();
+  out.limbs_.resize((n + 7) / 8);
+  const std::uint8_t* end = be.data() + n;
+  std::size_t i = 0;
+  for (; 8 * i + 8 <= n; ++i) {
+    const std::uint8_t* p = end - 8 * i - 8;
+    u64 v = 0;
+    for (std::size_t j = 0; j < 8; ++j) v = v << 8 | p[j];
+    out.limbs_[i] = v;
+  }
+  if (8 * i < n) {
+    u64 v = 0;
+    for (const std::uint8_t* p = be.data(); p < end - 8 * i; ++p) v = v << 8 | *p;
+    out.limbs_[i] = v;
   }
   out.normalize();
   return out;
@@ -359,22 +369,29 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
 BigInt BigInt::operator/(const BigInt& o) const { return divmod(o).quotient; }
 BigInt BigInt::operator%(const BigInt& o) const { return divmod(o).remainder; }
 
-Bytes BigInt::to_bytes() const {
-  if (is_zero()) return {};
-  const std::size_t nbytes = (bit_length() + 7) / 8;
-  return to_bytes_padded(nbytes);
-}
+Bytes BigInt::to_bytes() const { return to_bytes_padded(byte_length()); }
 
 Bytes BigInt::to_bytes_padded(std::size_t width) const {
-  const std::size_t nbytes = (bit_length() + 7) / 8;
-  if (nbytes > width) throw std::length_error("BigInt::to_bytes_padded: too wide");
-  Bytes out(width, 0);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    // out is big-endian.
-    out[width - 1 - i] =
-        static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
-  }
+  Bytes out(width);
+  write_bytes(out);
   return out;
+}
+
+void BigInt::write_bytes(std::span<std::uint8_t> out) const {
+  const std::size_t nbytes = byte_length();
+  if (nbytes > out.size()) throw std::length_error("BigInt::to_bytes_padded: too wide");
+  // Big-endian: byte i (from the least significant) goes to end[-1 - i].
+  std::uint8_t* end = out.data() + out.size();
+  std::fill(out.data(), end - nbytes, 0);
+  std::size_t i = 0;
+  for (; 8 * i + 8 <= nbytes; ++i) {
+    std::uint8_t* p = end - 8 * i - 8;
+    for (std::size_t j = 0; j < 8; ++j)
+      p[j] = static_cast<std::uint8_t>(limbs_[i] >> (56 - 8 * j));
+  }
+  for (std::size_t b = 8 * i; b < nbytes; ++b)
+    end[-1 - static_cast<std::ptrdiff_t>(b)] =
+        static_cast<std::uint8_t>(limbs_[i] >> (8 * (b - 8 * i)));
 }
 
 std::string BigInt::to_hex() const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,7 @@ class BigInt {
   /// Parses a (lowercase or uppercase) hex string; empty string is zero.
   static BigInt from_hex(std::string_view hex);
   /// Parses big-endian bytes; empty is zero.
-  static BigInt from_bytes(const Bytes& be);
+  static BigInt from_bytes(std::span<const std::uint8_t> be);
   /// Parses a decimal string.
   static BigInt from_dec(std::string_view dec);
 
@@ -75,11 +76,15 @@ class BigInt {
   /// Computes quotient and remainder in one pass (Knuth algorithm D).
   DivMod divmod(const BigInt& divisor) const;
 
+  /// Length of to_bytes(): ceil(bit_length() / 8).
+  std::size_t byte_length() const { return (bit_length() + 7) / 8; }
   /// Big-endian bytes, no leading zeros (empty for zero).
   Bytes to_bytes() const;
   /// Big-endian bytes left-padded with zeros to exactly `width` bytes.
   /// Throws std::length_error if the value does not fit.
   Bytes to_bytes_padded(std::size_t width) const;
+  /// Writes to_bytes_padded(out.size()) into `out`, with the same throw.
+  void write_bytes(std::span<std::uint8_t> out) const;
   /// Lowercase hex, no leading zeros ("0" for zero).
   std::string to_hex() const;
   /// Decimal string.

@@ -9,11 +9,18 @@ namespace sgk {
 BigInt gcd(const BigInt& a, const BigInt& b);
 
 /// Multiplicative inverse of a modulo m (m > 1). Throws std::domain_error if
-/// gcd(a, m) != 1. Odd moduli run a binary extended GCD on fixed limb
-/// arrays; even ones run mod_inverse_euclid. Neither is constant-time.
+/// gcd(a, m) != 1. Odd moduli run Bernstein-Yang safegcd: batches of 62
+/// branch-free division steps on 64-bit words, each batch's 2x2 transition
+/// matrix then applied to the full-width values, in 62-bit signed limbs.
+/// The batch count depends on the bit length of m only, and the operation
+/// sequence on that and m's limb count, so an a below 2^bits(m) leaves
+/// nothing else visible; a wider a is first reduced by BigInt division,
+/// which is variable-time. Even moduli run mod_inverse_euclid, which is
+/// variable-time.
 BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
-/// The same inverse by extended Euclid on BigInt, for any modulus > 1.
+/// The same inverse by extended Euclid on BigInt, for any modulus > 1. The
+/// even-modulus path of mod_inverse, and the tests' reference.
 BigInt mod_inverse_euclid(const BigInt& a, const BigInt& m);
 
 /// (a * b) mod m.

@@ -300,7 +300,7 @@ class Kernel {
       select(entry, table[0], kCap, window(ebuf, w));
       mul(acc, acc, entry);
     }
-    secure_zero(ebuf, sizeof ebuf);
+    secure_zero(ebuf, el.size() * sizeof(u64));  // the limbs that held e
   }
 
   // Fixed-base secret path: e padded to kTeeth * block bits. Column c of
@@ -332,7 +332,7 @@ class Kernel {
         first = false;
       }
     }
-    secure_zero(ebuf, sizeof ebuf);
+    secure_zero(ebuf, el.size() * sizeof(u64));  // the limbs that held e
   }
 
   // Public path: sliding windows over the odd powers b, b^3, ...
@@ -382,14 +382,23 @@ class Kernel {
   static u64 bit_at(const u64* e, std::size_t i) { return (e[i / 64] >> (i % 64)) & 1; }
 
   // out = entry `index` of a 16-entry table whose entries start `stride`
-  // limbs apart, reading every entry.
+  // limbs apart. Every limb of every entry is read and ORed in under a mask,
+  // into a local array the table cannot alias, so the scan keeps it in
+  // registers and stores out once. Unrolling the entries lets the 16 masks
+  // be computed independently.
   void select(u64* out, const u64* table, std::size_t stride, u64 index) const {
     const std::size_t k = limbs();
-    for (std::size_t j = 0; j < k; ++j) out[j] = 0;
+    Limbs sum;
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < k; ++j) sum[j] = 0;
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < kTableSize; ++i) {
       const u64 mask = eq_mask(i, index);
-      for (std::size_t j = 0; j < k; ++j) out[j] |= table[i * stride + j] & mask;
+      const u64* entry = table + i * stride;
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < k; ++j) sum[j] |= entry[j] & mask;
     }
+    copy(out, sum);
   }
 
   void copy(u64* out, const u64* in) const { std::copy(in, in + limbs(), out); }

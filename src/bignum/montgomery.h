@@ -22,16 +22,20 @@
 //  * secret path: a context built with a secret exponent width runs every
 //    exponent of 64 bits up to that width in fixed 4-bit windows over the
 //    exponent padded to the width, selects table entries by a masked scan of
-//    the whole table, and reduces without branches. Its time depends on the
-//    modulus and the declared width only (docs/hardening.md,
-//    "Constant-time modular exponentiation").
+//    the whole table, and reduces without branches. The scan reads every
+//    limb of all 16 entries and ORs each under an all-ones or all-zero mask
+//    into a local limb array, which stays in registers, and stores the
+//    result once; there is no branch and no load indexed by the secret. Its
+//    time depends on the modulus and the declared width only
+//    (docs/hardening.md, "Constant-time modular exponentiation").
 //    A context may also carry one fixed base (DhGroup's generator g). A
 //    secret-path exponent of exactly that base runs a Lim-Lee comb
 //    (Lim & Lee, "More flexible exponentiation with precomputation",
 //    CRYPTO '94) over a table built on first use: 4 teeth and 8 tables of
 //    16 entries, so a 160-bit exponent costs 4 squarings and 39 multiplies
-//    instead of ~214 products. Its time depends on the modulus, the width
-//    and the table shape only.
+//    instead of ~214 products. Each multiplier comes from the same masked
+//    scan. Its time depends on the modulus, the width and the table shape
+//    only.
 //  * public path: every other exponent (RSA e=3 verification, BD's small
 //    step-3 exponents, Miller-Rabin, DSA verification) runs a sliding window
 //    whose width follows the exponent length.

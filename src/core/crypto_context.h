@@ -65,7 +65,7 @@ class CryptoContext {
   /// constant-time Fermat exponentiation.
   BigInt inverse_q(const BigInt& a);
   /// Inverse of a public group element modulo p (BD's z_{i-1}^{-1}), by
-  /// binary extended GCD on limb arrays (mod_inverse; not constant-time).
+  /// mod_inverse's safegcd, whose operation sequence depends on p only.
   BigInt inverse_p(const BigInt& a);
   /// (a * b) mod p.
   BigInt mul_p(const BigInt& a, const BigInt& b);

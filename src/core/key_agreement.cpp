@@ -92,12 +92,29 @@ const std::vector<ProcessId>* core_side(const ViewDelta& delta) {
   return best;
 }
 
-void put_bigint(Writer& w, const BigInt& v) { w.bytes(v.to_bytes()); }
+void put_bigint(Writer& w, const BigInt& v) { v.write_bytes(w.field(v.byte_length())); }
 
-BigInt get_bigint(Reader& r) { return BigInt::from_bytes(r.bytes()); }
+BigInt get_bigint(Reader& r) { return BigInt::from_bytes(r.bytes_view()); }
 
 bool in_group_range(const BigInt& v, const BigInt& p) {
-  return v >= BigInt(2) && v <= p - BigInt(2);
+  // v >= 2, and p - v >= 2 by one borrow pass over p's limbs.
+  const auto& vl = v.limbs();
+  const auto& pl = p.limbs();
+  if (vl.size() > pl.size() || vl.empty() || (vl.size() == 1 && vl[0] < 2)) return false;
+  std::uint64_t borrow = 0;
+  std::uint64_t low = 0;    // limb 0 of p - v
+  std::uint64_t high = 0;   // OR of its other limbs
+  for (std::size_t i = 0; i < pl.size(); ++i) {
+    std::uint64_t d;
+    const bool b1 = __builtin_sub_overflow(pl[i], i < vl.size() ? vl[i] : 0, &d);
+    const bool b2 = __builtin_sub_overflow(d, borrow, &d);
+    borrow = static_cast<std::uint64_t>(b1 || b2);
+    if (i == 0)
+      low = d;
+    else
+      high |= d;
+  }
+  return borrow == 0 && (high != 0 || low >= 2);
 }
 
 }  // namespace sgk

@@ -61,8 +61,8 @@ Bytes dsa_signature_to_bytes(const DsaSignature& sig, std::size_t q_bytes) {
 DsaSignature dsa_signature_from_bytes(const Bytes& data) {
   Reader r(data);
   DsaSignature sig;
-  sig.r = BigInt::from_bytes(r.bytes());
-  sig.s = BigInt::from_bytes(r.bytes());
+  sig.r = BigInt::from_bytes(r.bytes_view());
+  sig.s = BigInt::from_bytes(r.bytes_view());
   return sig;
 }
 

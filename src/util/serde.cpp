@@ -24,6 +24,13 @@ void Writer::bytes(const Bytes& v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
+std::span<std::uint8_t> Writer::field(std::size_t n) {
+  u32(static_cast<std::uint32_t>(n));
+  const std::size_t start = buf_.size();
+  buf_.resize(start + n);
+  return {buf_.data() + start, n};
+}
+
 void Writer::str(std::string_view v) {
   u32(static_cast<std::uint32_t>(v.size()));
   buf_.insert(buf_.end(), v.begin(), v.end());
@@ -80,10 +87,14 @@ void Reader::expect_done() const {
 }
 
 Bytes Reader::bytes() {
+  const std::span<const std::uint8_t> v = bytes_view();
+  return Bytes(v.begin(), v.end());
+}
+
+std::span<const std::uint8_t> Reader::bytes_view() {
   std::uint32_t n = u32();
   need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const std::span<const std::uint8_t> out(data_.data() + pos_, n);
   pos_ += n;
   return out;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -35,6 +36,9 @@ class Writer {
   void u64(std::uint64_t v);
   /// Length-prefixed byte string.
   void bytes(const Bytes& v);
+  /// Length-prefixed field of `n` zero bytes, returned for the caller to
+  /// fill in place. The span is valid until the next write.
+  std::span<std::uint8_t> field(std::size_t n);
   /// Length-prefixed UTF-8/ASCII string.
   void str(std::string_view v);
   /// Raw bytes without a length prefix (caller knows the framing).
@@ -57,6 +61,9 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   Bytes bytes();
+  /// The next length-prefixed byte string, as a view into the buffer being
+  /// read (no copy); bounds-checked like bytes().
+  std::span<const std::uint8_t> bytes_view();
   std::string str();
 
   /// Next byte without consuming it.

@@ -15,6 +15,7 @@
 #include "core/str.h"
 #include "core/tgdh.h"
 #include "crypto/dh.h"
+#include "crypto/drbg.h"
 #include "obs/metrics.h"
 #include "tests/protocol_harness.h"
 #include "util/check.h"
@@ -333,6 +334,86 @@ TEST(BdCorpus, TagAndRangeRules) {
                 truncate(bigint_body(BdProtocol::kZ, G())), P())
                 .reason,
             RejectReason::kTruncated);
+}
+
+// ---------------------------------------------------------------------------
+// Wire bignums: put_bigint / get_bigint and the group-range check every
+// validated decoder applies.
+
+TEST(WireBignum, RoundTripsEveryByteLength) {
+  Drbg rng(130, "wire-bignum");
+  for (std::size_t len = 0; len <= 130; ++len) {
+    for (std::size_t zeros : {0u, 1u, 7u, 8u, 9u}) {
+      if (zeros > len) continue;
+      // `zeros` leading zero bytes, then a non-zero byte and random ones.
+      Bytes be(len, 0);
+      for (std::size_t i = zeros; i < len; ++i)
+        be[i] = static_cast<std::uint8_t>(rng.next_u64(256));
+      if (zeros < len) be[zeros] |= 0x01;
+      const Bytes stripped(be.begin() + static_cast<std::ptrdiff_t>(zeros), be.end());
+      const BigInt want = BigInt::from_hex(to_hex(be));
+      const BigInt v = BigInt::from_bytes(be);
+      ASSERT_EQ(v, want) << "len " << len << " zeros " << zeros;
+      EXPECT_EQ(v.byte_length(), stripped.size());
+      EXPECT_EQ(v.to_bytes(), stripped);
+      EXPECT_EQ(v.to_bytes_padded(len), be);
+
+      // put_bigint writes the minimal encoding; get_bigint also takes a
+      // field with leading zeros.
+      Writer w;
+      put_bigint(w, v);
+      Writer minimal;
+      minimal.bytes(stripped);
+      EXPECT_EQ(w.data(), minimal.data());
+      Reader r(w.data());
+      EXPECT_EQ(get_bigint(r), v);
+      EXPECT_TRUE(r.done());
+      Writer padded;
+      padded.bytes(be);
+      padded.u8(0x5a);
+      Reader rp(padded.data());
+      EXPECT_EQ(get_bigint(rp), v);
+      EXPECT_EQ(rp.u8(), 0x5a);
+
+      // A field cut short, or whose length prefix overruns the payload,
+      // throws.
+      if (!be.empty()) {
+        const Bytes cut = truncate(padded.data(), 2);
+        Reader rc(cut);
+        EXPECT_THROW(get_bigint(rc), DecodeError) << "len " << len;
+      }
+      Writer lie;
+      lie.u32(static_cast<std::uint32_t>(len + 1));
+      lie.raw(be);
+      Reader rl(lie.data());
+      EXPECT_THROW(get_bigint(rl), DecodeError) << "len " << len;
+    }
+  }
+}
+
+TEST(WireBignum, InGroupRangeEdges) {
+  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+    const BigInt& p = dh_group(bits).p();
+    const BigInt one(1);
+    const BigInt two(2);
+    EXPECT_FALSE(in_group_range(BigInt(), p));
+    EXPECT_FALSE(in_group_range(one, p));
+    EXPECT_TRUE(in_group_range(two, p));
+    EXPECT_TRUE(in_group_range(BigInt(3), p));
+    EXPECT_TRUE(in_group_range(BigInt(1) << 64, p));
+    EXPECT_TRUE(in_group_range(p - BigInt(3), p));
+    EXPECT_TRUE(in_group_range(p - two, p));
+    EXPECT_FALSE(in_group_range(p - one, p));
+    EXPECT_FALSE(in_group_range(p, p));
+    EXPECT_FALSE(in_group_range(p + one, p));
+    EXPECT_FALSE(in_group_range(p << 64, p));
+    // Against the definition on random values around p's width.
+    Drbg rng(bits == DhBits::k512 ? 512 : 1024, "wire-range");
+    for (int i = 0; i < 64; ++i) {
+      const BigInt v = BigInt::random_bits(p.bit_length() - 1 + rng.next_u64(3), rng);
+      EXPECT_EQ(in_group_range(v, p), v >= two && v <= p - two) << v.to_hex();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -50,28 +50,59 @@ TEST(ModInverse, CompositeModulus) {
   EXPECT_EQ(a * inv % m, BigInt(1));
 }
 
-// The binary inverse (odd moduli) against extended Euclid.
+/// Odd moduli for the safegcd inverse: random ones of every limb count the
+/// kernels use, at full width and one bit short; all ones and 2^(64k-1) + 1
+/// at each of those limb counts; and widths around the batch boundaries
+/// (one batch of 62 division steps covers widths up to 20 bits, and the
+/// step bound changes formula at 46 bits).
+std::vector<BigInt> inverse_moduli(Drbg& rng) {
+  auto odd_of_width = [&rng](std::size_t bits) {
+    const BigInt m = BigInt::random_bits(bits, rng);
+    return m.is_odd() ? m : m + BigInt(1);
+  };
+  std::vector<BigInt> ms = {BigInt(3), BigInt(5), BigInt(11)};
+  for (std::size_t bits : {20u, 21u, 40u, 45u, 46u, 47u, 62u, 63u, 160u})
+    ms.push_back(odd_of_width(bits));
+  for (std::size_t limbs : {1u, 2u, 3u, 8u, 9u, 16u, 17u}) {
+    const std::size_t bits = 64 * limbs;
+    ms.push_back(odd_of_width(bits));
+    ms.push_back(odd_of_width(bits - 1));
+    ms.push_back((BigInt(1) << bits) - BigInt(1));
+    ms.push_back((BigInt(1) << (bits - 1)) + BigInt(1));
+  }
+  return ms;
+}
+
+/// Inputs for an inverse mod m: 1, 2, m - 1, m - 2, powers of two, values at
+/// or above m (of m's width, which safegcd takes unreduced, and wider ones,
+/// which are reduced first) and random values below m.
+std::vector<BigInt> inverse_inputs(const BigInt& m, Drbg& rng) {
+  const std::size_t bits = m.bit_length();
+  std::vector<BigInt> as = {BigInt(1), BigInt(2), m - BigInt(1), m - BigInt(2),
+                            m, m + BigInt(1), m + BigInt(2), m + BigInt(3),
+                            (BigInt(1) << bits) - BigInt(1),
+                            m * BigInt(7) + BigInt(5), (BigInt(1) << (bits + 64)) + BigInt(3)};
+  for (std::size_t j : {1u, 31u, 61u, 62u, 63u, 64u, 65u})
+    if (j < bits) as.push_back(BigInt(1) << j);
+  as.push_back(BigInt(1) << (bits - 1));
+  for (int i = 0; i < 12; ++i) as.push_back(BigInt::random_below(m, rng));
+  return as;
+}
+
+// The odd-modulus inverse (safegcd) against extended Euclid.
 TEST(ModInverse, BinaryMatchesEuclidOnOddModuli) {
-  for (std::size_t limbs : {1u, 8u, 16u}) {
-    Drbg rng(limbs, "modinv-binary");
-    for (int trial = 0; trial < 4; ++trial) {
-      BigInt m = BigInt::random_bits(64 * limbs, rng);
-      if (!m.is_odd()) m = m + BigInt(1);
-      std::vector<BigInt> as = {BigInt(1), BigInt(2), m - BigInt(1), m - BigInt(2),
-                                m + BigInt(3), m * BigInt(7) + BigInt(5),
-                                BigInt(1) << (64 * limbs - 1),
-                                BigInt(1) << (64 * limbs + 64)};
-      for (int i = 0; i < 16; ++i) as.push_back(BigInt::random_below(m, rng));
-      for (const BigInt& a : as) {
-        if (gcd(a % m, m) != BigInt(1)) {
-          EXPECT_THROW(mod_inverse(a, m), std::domain_error) << a.to_hex();
-          EXPECT_THROW(mod_inverse_euclid(a, m), std::domain_error) << a.to_hex();
-          continue;
-        }
-        const BigInt inv = mod_inverse(a, m);
-        EXPECT_EQ(inv, mod_inverse_euclid(a, m)) << "limbs " << limbs << " a " << a.to_hex();
-        EXPECT_EQ(a * inv % m, BigInt(1));
+  Drbg rng(17, "modinv-safegcd");
+  for (const BigInt& m : inverse_moduli(rng)) {
+    for (const BigInt& a : inverse_inputs(m, rng)) {
+      if (gcd(a % m, m) != BigInt(1)) {
+        EXPECT_THROW(mod_inverse(a, m), std::domain_error) << m.to_hex() << " " << a.to_hex();
+        EXPECT_THROW(mod_inverse_euclid(a, m), std::domain_error) << a.to_hex();
+        continue;
       }
+      const BigInt inv = mod_inverse(a, m);
+      EXPECT_EQ(inv, mod_inverse_euclid(a, m)) << "m " << m.to_hex() << " a " << a.to_hex();
+      EXPECT_LT(inv, m);
+      EXPECT_EQ(a * inv % m, BigInt(1));
     }
   }
 }
@@ -88,8 +119,27 @@ TEST(ModInverse, BinaryEdgeCases) {
   EXPECT_THROW(mod_inverse(p * BigInt(4), p), std::domain_error);
   EXPECT_THROW(mod_inverse(BigInt(6), m), std::domain_error);
   EXPECT_THROW(mod_inverse(p, m), std::domain_error);
+  // Shared factors at every limb count: m = r * s with odd r, s, and
+  // multiples of r or s; and 3 | m with 3 | a.
+  Drbg rng(18, "modinv-shared");
+  for (std::size_t limbs : {1u, 2u, 3u, 8u, 9u, 16u, 17u}) {
+    BigInt r = BigInt::random_bits(32 * limbs, rng);
+    if (!r.is_odd()) r = r + BigInt(1);
+    BigInt s = BigInt::random_bits(32 * limbs, rng);
+    if (!s.is_odd()) s = s + BigInt(1);
+    const BigInt rs = r * s;
+    for (const BigInt& a : {BigInt(), rs, rs * BigInt(2), r, s, r * BigInt(2), rs - r,
+                            s * BigInt(5)}) {
+      EXPECT_THROW(mod_inverse(a, rs), std::domain_error)
+          << "m " << rs.to_hex() << " a " << a.to_hex();
+    }
+    EXPECT_THROW(mod_inverse(BigInt(3) * BigInt::random_below(rs, rng) + BigInt(3),
+                             rs * BigInt(3)),
+                 std::domain_error);
+  }
   // m = 1 and m = 0 are rejected on both paths.
   EXPECT_THROW(mod_inverse(BigInt(1), BigInt(1)), std::domain_error);
+  EXPECT_THROW(mod_inverse(BigInt(5), BigInt(1)), std::domain_error);
   EXPECT_THROW(mod_inverse(BigInt(1), BigInt()), std::domain_error);
   // Even moduli run Euclid.
   EXPECT_EQ(mod_inverse(BigInt(3), BigInt(8)), BigInt(3));

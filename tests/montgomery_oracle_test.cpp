@@ -10,7 +10,6 @@
 
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
-#include "bignum/prime.h"
 #include "core/crypto_context.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
@@ -45,6 +44,20 @@ std::vector<std::size_t> secret_widths(std::size_t limbs) {
   return widths;
 }
 
+/// An exponent of `width` bits (a multiple of 4) whose 4-bit windows take
+/// every value, so that every entry of the secret path's table is
+/// selected: 15 in the top window, 0 in the lowest, and w mod 16 in window
+/// w (counted from the bottom) between them.
+BigInt every_window_value(std::size_t width) {
+  const std::size_t windows = width / 4;
+  BigInt e;
+  for (std::size_t w = windows; w-- > 0;) {
+    const std::uint64_t v = w == windows - 1 ? 15 : w % 16;
+    e = (e << 4) + BigInt(v);
+  }
+  return e;
+}
+
 class MontgomeryOracle : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MontgomeryOracle, PublicContextMatchesSquareAndMultiply) {
@@ -65,6 +78,7 @@ TEST_P(MontgomeryOracle, SecretContextMatchesSquareAndMultiply) {
   const BigInt n = random_modulus(limbs, rng);
   for (std::size_t width : secret_widths(limbs)) {
     const MontgomeryCtx ctx(n, width);
+    const BigInt every_entry = every_window_value(width);
     for (int i = 0; i < 4; ++i) {
       const BigInt base = BigInt::random_below(n, rng);
       // Full-width, shorter secret-path, and public-class (< 64 bits).
@@ -73,6 +87,8 @@ TEST_P(MontgomeryOracle, SecretContextMatchesSquareAndMultiply) {
         EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
             << "width " << width << " ebits " << ebits;
       }
+      EXPECT_EQ(ctx.exp(base, every_entry), oracle_exp(base, every_entry, n))
+          << "width " << width << " every window value";
     }
   }
 }
@@ -271,7 +287,8 @@ CombGeometry comb_geometry(std::size_t width) {
 }
 
 /// Exponents that stress the comb for a secret width: the edges of the
-/// secret path, zero top blocks and columns, and one set bit per block.
+/// secret path, zero top blocks and columns, one set bit per block, and
+/// every table index in every table.
 std::vector<BigInt> comb_exponents(std::size_t width, const BigInt& order,
                                    Drbg& rng) {
   const CombGeometry c = comb_geometry(width);
@@ -309,6 +326,23 @@ std::vector<BigInt> comb_exponents(std::size_t width, const BigInt& order,
     if (e.bit_length() >= 64) es.push_back(e);
   }
   for (std::size_t pos = 63; pos < width; pos += step) es.push_back(BigInt(1) << pos);
+  // Every index 0-15 of every table: exponent r puts index
+  // (columns * r + c + j) mod 16 in column c of table j, so ceil(16 /
+  // columns) exponents (four at |q| = 160) cover all 16 in each table whose
+  // columns all lie inside a block.
+  for (std::size_t r = 0; r * c.columns < 16; ++r) {
+    BigInt e;
+    for (std::size_t j = 0; j < 8; ++j) {
+      for (std::size_t col = 0; col < c.columns; ++col) {
+        const std::size_t offset = j * c.columns + col;
+        if (offset >= c.block) continue;
+        const std::size_t index = (c.columns * r + col + j) % 16;
+        for (std::size_t tooth = 0; tooth < 4; ++tooth)
+          if ((index >> tooth) & 1) e = e + (BigInt(1) << (tooth * c.block + offset));
+      }
+    }
+    if (e.bit_length() >= 64) es.push_back(e);
+  }
   return es;
 }
 
@@ -400,33 +434,68 @@ TEST(MontgomeryOracleComb, FirstGeneratorExpsRaceOnFreshGroup) {
   }
 }
 
-/// An RSA key whose private exponent the test knows.
+/// Miller-Rabin on the oracle's square-and-multiply, with the first twelve
+/// primes as bases.
+bool oracle_probable_prime(const BigInt& n) {
+  const BigInt one(1);
+  const BigInt n1 = n - one;
+  std::size_t s = 0;
+  while (!n1.bit(s)) ++s;
+  const BigInt d = n1 >> s;
+  for (std::uint64_t a : {2u, 3u, 5u, 7u, 11u, 13u, 17u, 19u, 23u, 29u, 31u, 37u}) {
+    BigInt x = oracle_exp(BigInt(a), d, n);
+    if (x == one || x == n1) continue;
+    bool composite = true;
+    for (std::size_t r = 1; r < s && composite; ++r) {
+      x = x * x % n;
+      composite = x != n1;
+    }
+    if (composite) return false;
+  }
+  return true;
+}
+
+/// An RSA key whose private exponent the test knows, from fixed primes, so
+/// that a broken kernel fails the signature check instead of stalling a
+/// prime search that runs through the kernel's own Miller-Rabin.
 struct KnownRsaKey {
   BigInt n, d, p, q;
 };
 
-KnownRsaKey known_rsa_key(std::size_t bits, Drbg& rng) {
-  const BigInt three(3);
-  auto prime = [&] {
-    for (;;) {
-      BigInt c = generate_prime(bits / 2, rng);
-      if (gcd(c - BigInt(1), three) == BigInt(1)) return c;
+KnownRsaKey known_rsa_key(std::size_t bits) {
+  // Drawn once with generate_prime (p = 2 mod 3, so e = 3 is a valid
+  // exponent); the 1024-bit key has q > p.
+  const BigInt p = BigInt::from_hex(
+      bits == 512 ? "d1e08835db35a4be306d81b9a9cb109c7228bec86bb1f53e7a962f370e70f8a1"
+                  : "a483c982b50b3e57199ad397076c1bbc88cb87ba8dee4ff1f126b0f5946a3f2a"
+                    "fb7b105fa008a6779da92c925c729c77da31ad614e0b828b45eebfda1a0cf9cd");
+  const BigInt q = BigInt::from_hex(
+      bits == 512 ? "cc5b19f4f6af556062a75302f97b6d28e8fe178bbba7417344e902e69990c2a9"
+                  : "fcf366c1c0f5eedf229ff84e54054f6dc98f9e3f4515850fc7522b2dde9dd53b"
+                    "df70b12ffc4d8773504ca03ee8ace7e0697c04eaa396e78a82fedd42a1c2de19");
+  const BigInt phi = (p - BigInt(1)) * (q - BigInt(1));
+  return {p * q, mod_inverse_euclid(BigInt(3), phi), p, q};
+}
+
+TEST(MontgomeryOracleRsa, FixedTestPrimesHoldUnderTheOracle) {
+  for (std::size_t bits : {512u, 1024u}) {
+    const KnownRsaKey k = known_rsa_key(bits);
+    EXPECT_EQ(k.n.bit_length(), bits);
+    for (const BigInt* prime : {&k.p, &k.q}) {
+      EXPECT_EQ(prime->bit_length(), bits / 2);
+      EXPECT_EQ(*prime % BigInt(3), BigInt(2));
+      EXPECT_TRUE(oracle_probable_prime(*prime)) << prime->to_hex();
     }
-  };
-  for (;;) {
-    BigInt p = prime();
-    BigInt q = prime();
-    BigInt n = p * q;
-    if (p == q || n.bit_length() != bits) continue;
-    BigInt d = mod_inverse(three, (p - BigInt(1)) * (q - BigInt(1)));
-    return {n, d, p, q};
+    EXPECT_EQ(BigInt(3) * k.d % ((k.p - BigInt(1)) * (k.q - BigInt(1))), BigInt(1));
   }
+  // The oracle Miller-Rabin rejects composites, Carmichael numbers included.
+  EXPECT_FALSE(oracle_probable_prime(BigInt(561)));
+  EXPECT_FALSE(oracle_probable_prime(known_rsa_key(512).n));
 }
 
 TEST(MontgomeryOracleRsa, CrtSignMatchesPlainPrivateExponent) {
-  Drbg rng(1024, "oracle-rsa");
   for (std::size_t bits : {512u, 1024u}) {
-    const KnownRsaKey k = known_rsa_key(bits, rng);
+    const KnownRsaKey k = known_rsa_key(bits);
     const RsaPrivateKey key(k.n, 3, k.d, k.p, k.q);
     const std::size_t len = key.public_key().modulus_bytes();
     for (int i = 0; i < 3; ++i) {
