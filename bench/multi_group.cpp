@@ -22,11 +22,9 @@
 //                    [--seed BASE] [--json out.json] [--trace out.trace.json]
 //                    [--wallclock]
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,42 +37,8 @@
 namespace {
 
 using sgk::ProtocolKind;
-
-bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
-  static const std::map<std::string, ProtocolKind> kByName = {
-      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
-      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
-      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
-  std::string lower;
-  for (char c : name)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "all") {
-    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
-           ProtocolKind::kStr, ProtocolKind::kBd};
-    return true;
-  }
-  const auto it = kByName.find(lower);
-  if (it == kByName.end()) return false;
-  out = {it->second};
-  return true;
-}
-
-/// Matches `--flag value` and `--flag=value`; advances `i` past the value.
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value) {
-  const std::string& arg = rest[i];
-  if (arg == flag) {
-    if (i + 1 >= rest.size())
-      throw std::runtime_error(flag + " requires an argument");
-    value = rest[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
+using sgk::parse_protocols;
+using sgk::take_flag;
 
 std::vector<int> parse_scale(const std::string& list) {
   std::vector<int> out;

@@ -1,6 +1,7 @@
 #include "bignum/bigint.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "util/check.h"
@@ -86,13 +87,11 @@ BigInt BigInt::from_dec(std::string_view dec) {
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  u64 top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 64;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  // std::bit_width rather than a shift loop: the loop's trip count, and so
+  // its time, followed the top limb's value, and mod_inverse and the
+  // exponentiation paths take the bit length of secret operands.
+  return (limbs_.size() - 1) * 64 +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigInt::bit(std::size_t i) const {

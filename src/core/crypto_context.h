@@ -62,7 +62,7 @@ class CryptoContext {
   BigInt exp_g(const BigInt& e);
 
   /// Inverse of a secret exponent modulo q (GDH factor-out, CKD unwrap), by
-  /// constant-time Fermat exponentiation.
+  /// mod_inverse's constant-time safegcd.
   BigInt inverse_q(const BigInt& a);
   /// Inverse of a public group element modulo p (BD's z_{i-1}^{-1}), by
   /// mod_inverse's safegcd, whose operation sequence depends on p only.

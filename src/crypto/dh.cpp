@@ -1,7 +1,8 @@
 #include "crypto/dh.h"
 
-#include <stdexcept>
+#include <utility>
 
+#include "bignum/modmath.h"
 #include "util/check.h"
 
 namespace sgk {
@@ -35,8 +36,7 @@ DhGroup::DhGroup(BigInt p, BigInt q, BigInt g)
       q_(std::move(q)),
       g_(std::move(g)),
       ctx_(p_, q_.bit_length(), g_),
-      public_ctx_(p_),
-      q_ctx_(q_, q_.bit_length()) {
+      public_ctx_(p_) {
   SGK_CHECK((p_ - BigInt(1)) % q_ == BigInt(0));
   // q is public; checking on public_ctx_ leaves the comb table unbuilt
   // until the first secret g^x.
@@ -55,9 +55,7 @@ BigInt DhGroup::exp_public(const BigInt& base, const BigInt& e) const {
 }
 
 BigInt DhGroup::inverse_q(const BigInt& a) const {
-  BigInt inv = q_ctx_.exp(a, q_ - BigInt(2));
-  if (inv.is_zero()) throw std::domain_error("DhGroup::inverse_q: a = 0 mod q");
-  return inv;
+  return mod_inverse(a, q_);
 }
 
 SecureBigInt DhGroup::random_exponent(RandomSource& rng) const {

@@ -16,8 +16,8 @@ namespace sgk {
 /// Modulus sizes the paper evaluates.
 enum class DhBits { k512, k1024 };
 
-/// A fixed, precomputed DH group (p, q, g) with Montgomery contexts for p and
-/// q. Exponents of up to |q| bits are secret: exp() and exp_g() run them on
+/// A fixed, precomputed DH group (p, q, g) with Montgomery contexts for p.
+/// Exponents of up to |q| bits are secret: exp() and exp_g() run them on
 /// the constant-time path, and g^x (exp_g(), or exp() with base g) on its
 /// fixed-base comb, whose table is built on the first such call. Instances
 /// are immutable and shared; obtain them via dh_group().
@@ -37,9 +37,10 @@ class DhGroup {
   /// (base ^ e) mod p for a public exponent (DSA verification).
   BigInt exp_public(const BigInt& base, const BigInt& e) const;
 
-  /// a^{-1} mod q by Fermat, a^(q-2), on the constant-time path: for secret
-  /// a (GDH factor-out, CKD unwrap, the DSA nonce). Throws
-  /// std::domain_error if a = 0 (mod q).
+  /// a^{-1} mod q by mod_inverse's constant-time safegcd, for secret a below
+  /// 2^|q| (GDH factor-out, CKD unwrap, the DSA nonce). Throws
+  /// std::domain_error if a = 0 (mod q), the only non-invertible case for
+  /// prime q.
   BigInt inverse_q(const BigInt& a) const;
 
   /// Random secret exponent in [1, q). Returned in zeroizing storage; store
@@ -57,7 +58,6 @@ class DhGroup {
   BigInt g_;
   MontgomeryCtx ctx_;         // p, secret exponents of up to |q| bits, base g
   MontgomeryCtx public_ctx_;  // p, public exponents
-  MontgomeryCtx q_ctx_;       // q, for Fermat inverses
 };
 
 /// Shared fixed groups (generated once with this library's own

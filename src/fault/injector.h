@@ -4,7 +4,7 @@
 // leaves the mechanics to two small interfaces its consumers implement —
 // Scheduler (virtual-time scheduling; src/sim provides the Simulator
 // adapter in sim/fault_adapter.h) and ChurnTarget (membership operations;
-// the chaos harness in src/harness/chaos.* drives a SpreadNetwork). This
+// server::GroupHost in src/server/group_host.* drives a SpreadNetwork). This
 // keeps src/fault below src/sim and src/gcs in the layering DAG while both
 // of them consume its hook types.
 #pragma once
@@ -61,6 +61,8 @@ class FaultInjector final : public WireFaultHook {
     std::uint64_t unicasts_delayed = 0;
     std::uint64_t churn_applied = 0;    // ops delivered to the target
     std::uint64_t frames_mutated = 0;   // content corruptions applied
+
+    bool operator==(const Stats&) const = default;
   };
   const Stats& stats() const { return stats_; }
 

@@ -127,6 +127,8 @@ struct BatchStats {
   /// Per-event latency samples (event arrival -> first key of a later
   /// epoch), for events whose record survived to its window's key install.
   std::vector<double> event_to_key_ms;
+
+  bool operator==(const BatchStats&) const = default;
 };
 
 class RekeyBatcher {

@@ -245,7 +245,7 @@ void SecureGroupMember::on_view(const std::string& group, const View& view,
   // and leave the group wedged mid-agreement once the storm passed. The
   // trade-off is that the chain retries as long as agreements keep failing —
   // which is why the watchdog is opt-in (default off) and armed only by
-  // bounded-horizon harnesses like run_fuzz.
+  // bounded-horizon runs: the fuzz soak and the multi-group server's hosts.
   if (config_.recovery_watchdog_ms > 0) {
     const std::uint64_t epoch = epoch_;
     // Consecutive unkeyed fires stretch the chain's period exponentially

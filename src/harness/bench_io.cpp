@@ -1,6 +1,9 @@
 #include "harness/bench_io.h"
 
+#include <cctype>
 #include <cstdio>
+#include <map>
+#include <stdexcept>
 #include <utility>
 
 namespace sgk {
@@ -150,6 +153,47 @@ bool ObsSession::finish(obs::RunReport& report) {
     ok = false;
   }
   return ok;
+}
+
+bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
+  static const std::map<std::string, ProtocolKind> kByName = {
+      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
+      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
+      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
+  std::string lower;
+  for (char c : name)
+    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  if (lower == "all") {
+    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
+           ProtocolKind::kStr, ProtocolKind::kBd};
+    return true;
+  }
+  const auto it = kByName.find(lower);
+  if (it == kByName.end()) return false;
+  out = {it->second};
+  return true;
+}
+
+bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
+               const std::string& flag, std::string& value) {
+  const std::string& arg = rest[i];
+  if (arg == flag) {
+    if (i + 1 >= rest.size())
+      throw std::runtime_error(flag + " requires an argument");
+    value = rest[++i];
+    return true;
+  }
+  if (arg.rfind(flag + "=", 0) == 0) {
+    value = arg.substr(flag.size() + 1);
+    return true;
+  }
+  return false;
+}
+
+std::string lower_name(ProtocolKind kind) {
+  std::string s = to_string(kind);
+  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return s;
 }
 
 obs::Json sweep_to_json(const SweepResult& result) {

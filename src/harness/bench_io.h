@@ -87,6 +87,19 @@ class ObsSession {
   obs::WallProfiler* prev_wall_ = nullptr;
 };
 
+/// Parses a --protocol value, case-insensitively: "all" (the five paper
+/// protocols), gdh, ckd, tgdh, str, bd or tgdh-bal. Returns false and leaves
+/// `out` untouched for an unknown name.
+bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out);
+
+/// Matches `--flag value` and `--flag=value` at rest[i]; advances `i` past
+/// the value. Throws std::runtime_error when the value is missing.
+bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
+               const std::string& flag, std::string& value);
+
+/// Lower-case protocol name, as parse_protocols accepts it (repro lines).
+std::string lower_name(ProtocolKind kind);
+
 /// Serializes a sweep for the BENCH_*.json "sweeps" entries: sizes plus, per
 /// series, the mean curve and per-size median / p95 over seeds (the median is
 /// what the CI perf gate compares against its committed baseline).

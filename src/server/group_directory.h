@@ -53,7 +53,10 @@ struct GroupSpec {
   // Built once on the main thread before workers start; read-only after.
   SGK_CONFINED_TO_RUN;
   GroupId id = 0;
-  std::string name;  // "g<id>", used for group labels and metric prefixes
+  /// Group label: it names the metric prefixes and feeds the members' key
+  /// derivation. A server names its groups "g<id>"; a standalone run keeps
+  /// the member default.
+  std::string name = "secure-group";
   ProtocolKind protocol = ProtocolKind::kTgdh;
   DhBits dh_bits = DhBits::k512;
   std::size_t initial_size = 4;
@@ -84,6 +87,16 @@ struct GroupSpec {
   /// Rekey batching for this group's network (disabled by default — every
   /// membership event rekeys immediately, the legacy behavior).
   BatchConfig batch;
+  /// Scripted mode: when non-empty these ops replace the storm, at times
+  /// relative to onboard_at_ms (regression reproductions, unit tests).
+  std::vector<fault::ChurnOp> script;
+  /// Probability that any one stamped frame or unicast is mutated by the
+  /// structure-aware FrameMutator (fault/mutator.h). 0 keeps the wire honest.
+  double mutation_rate = 0.0;
+  /// Verify signatures at the members. When off, the mutator restricts
+  /// itself to mutations strict structural validation provably catches, so
+  /// a run still may not diverge silently.
+  bool verify_signatures = true;
 };
 
 /// Mutable status row a group's host publishes as it runs.

@@ -95,8 +95,7 @@ ServerResult GroupServer::run() {
             }
             if (slot->done()) continue;
             if (t >= slot->deadline_ms()) {
-              slot->advance(slot->deadline_ms());
-              if (!slot->done()) slot->force_settle();
+              slot->settle_at_deadline();
             } else if (slot->next_event_time() > t) {
               continue;  // conservative lookahead: nothing to do this epoch
             } else {
