@@ -28,7 +28,6 @@
 //                    [--protocol all|gdh|ckd|tgdh|str|bd] [--scale 1,2,4]
 //                    [--threads N] [--seed BASE] [--json out.json]
 //                    [--trace out.trace.json] [--wallclock]
-#include <algorithm>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -38,7 +37,6 @@
 
 #include "harness/bench_io.h"
 #include "obs/metrics.h"
-#include "obs/wallclock.h"
 #include "server/server.h"
 
 namespace {
@@ -47,28 +45,13 @@ using sgk::ProtocolKind;
 using sgk::parse_protocols;
 using sgk::take_flag;
 
-std::vector<int> parse_scale(const std::string& list) {
-  std::vector<int> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int t = std::stoi(item);
-    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
-    out.push_back(t);
-  }
-  if (out.empty()) throw std::runtime_error("--scale requires a list");
-  return out;
-}
-
-/// One rekey mode's outcome across the scale sweep: the first run's
-/// deterministic document plus the byte-compare verdict over later runs.
+/// One rekey mode's outcome across the scale sweep: the first run's result
+/// and deterministic document plus the sweep's verdict over later runs.
 struct ModeOutcome {
-  std::string label;
   sgk::server::ServerResult result;  // first run
   sgk::obs::Json json;               // first run's canonical document
-  std::string dump;
   std::size_t failures = 0;  // hosted - converged on the first run
-  bool determinism_ok = true;
+  sgk::ThreadSweep sweep;
 };
 
 }  // namespace
@@ -115,7 +98,7 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (take_flag(opts.rest, i, "--scale", value)) {
-        scale = parse_scale(value);
+        scale = sgk::parse_scale(value);
         scale_set = true;
       } else {
         std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
@@ -173,69 +156,51 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
+  std::ostringstream repro;
+  repro << "churn_storm --groups=" << groups << " --members=" << members
+        << " --events=" << events << " --burst=" << burst
+        << " --seed=" << opts.seed;
   std::vector<ModeOutcome> modes;
-  std::vector<std::pair<int, double>> wall_ms;  // (threads, host ms) batched
   for (const bool batched : {false, true}) {
     ModeOutcome mode;
-    mode.label = batched ? "batched" : "unbatched";
-    for (std::size_t run = 0; run < scale.size(); ++run) {
-      const int threads = scale[run];
-      const std::uint64_t t0 = opts.wallclock ? sgk::obs::wall_now_ns() : 0;
-      sgk::server::GroupServer server(config_for(threads, batched));
-      sgk::server::ServerResult result = server.run();
-      if (opts.wallclock && batched) {
-        const std::uint64_t t1 = sgk::obs::wall_now_ns();
-        wall_ms.emplace_back(threads, static_cast<double>(t1 - t0) / 1e6);
-      }
-
-      const sgk::obs::Json json = result.to_json(/*with_groups=*/false);
-      const std::string dump = json.dump(2);
-      if (run == 0) {
-        mode.failures = result.groups_hosted - result.groups_converged;
-        for (const auto& g : result.groups) {
-          if (g.converged) continue;
-          std::cout << "FAIL " << mode.label << " group g" << g.id << " ("
-                    << sgk::to_string(g.protocol) << "):\n";
-          for (const std::string& v : g.violations)
-            std::cout << "       " << v << "\n";
-        }
-        std::cout << mode.label << ": " << result.groups_converged << "/"
-                  << result.groups_hosted << " converged, " << result.rekeys
-                  << " rekeys for " << result.events_applied
-                  << " events (" << std::fixed << std::setprecision(3)
-                  << result.rekeys_per_event << " keys/event), "
-                  << result.batch_flushes << " flushes, "
-                  << result.batch_coalesced << " coalesced, "
-                  << result.batch_shed << " shed\n"
-                  << "  event-to-key p50 " << std::setprecision(1)
-                  << result.batch_event_to_key_p50_ms << "ms p99 "
-                  << result.batch_event_to_key_p99_ms << "ms  rekeys/sec "
-                  << std::setprecision(2) << result.rekeys_per_sec
-                  << "  makespan " << std::setprecision(1)
-                  << result.virtual_makespan_ms << "ms  degraded "
-                  << result.degraded_entries << " in / "
-                  << result.degraded_exits << " out\n";
-        mode.result = std::move(result);
-        mode.json = json;
-        mode.dump = dump;
-      } else if (dump != mode.dump) {
-        mode.determinism_ok = false;
-        const auto mismatch = std::mismatch(dump.begin(), dump.end(),
-                                            mode.dump.begin(),
-                                            mode.dump.end());
-        std::cout << "DETERMINISM VIOLATION (" << mode.label << "): --threads "
-                  << threads << " diverges from --threads " << scale[0]
-                  << " at byte " << (mismatch.first - dump.begin()) << "\n"
-                  << "       repro: churn_storm --groups=" << groups
-                  << " --members=" << members << " --events=" << events
-                  << " --burst=" << burst << " --seed=" << opts.seed
-                  << " --scale=" << scale[0] << "," << threads << "\n";
-      } else {
-        std::cout << "determinism ok (" << mode.label << "): --threads "
-                  << threads << " == --threads " << scale[0] << " ("
-                  << mode.dump.size() << " bytes)\n";
-      }
-    }
+    const std::string label = batched ? "batched" : "unbatched";
+    mode.sweep = sgk::sweep_thread_scale(
+        scale, label, repro.str(), opts.wallclock,
+        [&](int threads, bool first) {
+          sgk::server::GroupServer server(config_for(threads, batched));
+          sgk::server::ServerResult result = server.run();
+          sgk::obs::Json json = result.to_json(/*with_groups=*/false);
+          std::string dump = json.dump(2);
+          if (!first) return dump;
+          mode.failures = result.groups_hosted - result.groups_converged;
+          for (const auto& g : result.groups) {
+            if (g.converged) continue;
+            std::cout << "FAIL " << label << " group g" << g.id << " ("
+                      << sgk::to_string(g.protocol) << "):\n";
+            for (const std::string& v : g.violations)
+              std::cout << "       " << v << "\n";
+          }
+          std::cout << label << ": " << result.groups_converged << "/"
+                    << result.groups_hosted << " converged, " << result.rekeys
+                    << " rekeys for " << result.events_applied
+                    << " events (" << std::fixed << std::setprecision(3)
+                    << result.rekeys_per_event << " keys/event), "
+                    << result.batch_flushes << " flushes, "
+                    << result.batch_coalesced << " coalesced, "
+                    << result.batch_shed << " shed\n"
+                    << "  event-to-key p50 " << std::setprecision(1)
+                    << result.batch_event_to_key_p50_ms << "ms p99 "
+                    << result.batch_event_to_key_p99_ms << "ms  rekeys/sec "
+                    << std::setprecision(2) << result.rekeys_per_sec
+                    << "  makespan " << std::setprecision(1)
+                    << result.virtual_makespan_ms << "ms  degraded "
+                    << result.degraded_entries << " in / "
+                    << result.degraded_exits << " out\n";
+          mode.result = std::move(result);
+          mode.json = std::move(json);
+          return dump;
+        },
+        std::cout);
     modes.push_back(std::move(mode));
   }
 
@@ -308,29 +273,11 @@ int main(int argc, char** argv) {
     report.add_section("table", std::move(table));
   }
 
-  if (opts.wallclock && !wall_ms.empty()) {
-    // Host-time scaling for the batched sweep (stdout only: wall numbers
-    // must not leak into the deterministic sections).
-    const double base = wall_ms.front().second;
-    const int base_threads = wall_ms.front().first;
-    std::cout << "\nwall-clock scaling, batched mode (host ms; baseline "
-              << base_threads << " thread" << (base_threads == 1 ? "" : "s")
-              << ")\n";
-    std::cout << std::setw(8) << "threads" << std::setw(12) << "wall_ms"
-              << std::setw(10) << "speedup" << std::setw(12) << "efficiency"
-              << "\n";
-    for (const auto& [threads, ms] : wall_ms) {
-      const double speedup = ms > 0.0 ? base / ms : 0.0;
-      const double eff = speedup * static_cast<double>(base_threads) / threads;
-      std::cout << std::setw(8) << threads << std::setw(12) << std::fixed
-                << std::setprecision(1) << ms << std::setw(10)
-                << std::setprecision(2) << speedup << std::setw(12) << eff
-                << "\n";
-    }
-  }
+  // Host-time scaling for the batched sweep.
+  batched.sweep.print_wall_table(std::cout);
 
   const bool wrote = session.finish(report);
   const bool determinism_ok =
-      unbatched.determinism_ok && batched.determinism_ok;
+      unbatched.sweep.determinism_ok && batched.sweep.determinism_ok;
   return criteria_ok && determinism_ok && wrote ? 0 : 1;
 }

@@ -77,7 +77,9 @@ struct Input {
 
 // Times run(input) on `samples` inputs of each class; draw(c) returns an
 // input of class c (0: the fixed class) and is called outside the timed
-// region.
+// region. Every row's draw takes a random operand in both classes and the
+// fixed class discards it, so the allocator state the timed call starts from
+// does not depend on the class.
 template <typename Draw, typename Run>
 void check(const char* name, std::size_t samples, Drbg& rng, Draw draw, Run run) {
   run(draw(0));  // warm-up; builds a comb table outside the timed samples
@@ -123,7 +125,8 @@ void check_exponents(const char* name, const MontgomeryCtx& ctx, const BigInt& b
                      const BigInt& fixed, std::size_t samples, Drbg& rng) {
   const std::size_t ebits = fixed.bit_length();
   check_exp(name, ctx, samples, rng, [&](std::size_t cls) {
-    return Input{base, cls == 0 ? fixed : BigInt::random_bits(ebits, rng)};
+    BigInt drawn = BigInt::random_bits(ebits, rng);
+    return Input{base, cls == 0 ? fixed : std::move(drawn)};
   });
 }
 
@@ -134,15 +137,15 @@ void check_bases(const char* name, const MontgomeryCtx& ctx,
                  std::size_t samples, Drbg& rng) {
   std::size_t next = 0;
   check_exp(name, ctx, samples, rng, [&](std::size_t cls) {
-    if (cls == 1) return Input{BigInt::random_below(ctx.modulus(), rng), e};
+    BigInt drawn = BigInt::random_below(ctx.modulus(), rng);
+    if (cls == 1) return Input{std::move(drawn), e};
     return Input{fixed_class[next++ % fixed_class.size()], e};
   });
 }
 
 // Inverse row: mod_inverse of a fixed input against random inputs in
-// [1, m). Both classes draw a random input, so the allocator state the timed
-// call starts from does not depend on the class: drawing in the random class
-// only read |t| up to 5.6 at 512 bits, where a symmetric draw stayed below 2.
+// [1, m). Drawing in the random class only read |t| up to 5.6 at 512 bits,
+// where the symmetric draw stayed below 2.
 void check_inverse(const char* name, const BigInt& m, std::size_t samples, Drbg& rng) {
   const BigInt fixed = BigInt::random_below(m - BigInt(1), rng) + BigInt(1);
   check(

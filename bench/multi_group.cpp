@@ -21,7 +21,6 @@
 //                    [--scale 1,2,4,8] [--per-group] [--threads N]
 //                    [--seed BASE] [--json out.json] [--trace out.trace.json]
 //                    [--wallclock]
-#include <algorithm>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -31,29 +30,11 @@
 
 #include "harness/bench_io.h"
 #include "obs/metrics.h"
-#include "obs/wallclock.h"
 #include "server/server.h"
-
-namespace {
 
 using sgk::ProtocolKind;
 using sgk::parse_protocols;
 using sgk::take_flag;
-
-std::vector<int> parse_scale(const std::string& list) {
-  std::vector<int> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int t = std::stoi(item);
-    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
-    out.push_back(t);
-  }
-  if (out.empty()) throw std::runtime_error("--scale requires a list");
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
@@ -92,7 +73,7 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (take_flag(opts.rest, i, "--scale", value)) {
-        scale = parse_scale(value);
+        scale = sgk::parse_scale(value);
         scale_set = true;
       } else if (opts.rest[i] == "--per-group") {
         per_group = true;
@@ -144,68 +125,46 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
-  std::string canonical;       // first run's deterministic JSON
-  int canonical_threads = 0;
-  bool determinism_ok = true;
   std::size_t failures = 0;
-  std::vector<std::pair<int, double>> wall_ms;  // (threads, host ms)
-  sgk::obs::Json multi;                         // first run's section
-
-  for (std::size_t run = 0; run < scale.size(); ++run) {
-    const int threads = scale[run];
-    const std::uint64_t t0 = opts.wallclock ? sgk::obs::wall_now_ns() : 0;
-    sgk::server::GroupServer server(config_for(threads));
-    sgk::server::ServerResult result = server.run();
-    if (opts.wallclock) {
-      const std::uint64_t t1 = sgk::obs::wall_now_ns();
-      wall_ms.emplace_back(threads,
-                           static_cast<double>(t1 - t0) / 1e6);
-    }
-
-    const sgk::obs::Json json = result.to_json(/*with_groups=*/per_group);
-    const std::string dump = json.dump(2);
-    if (run == 0) {
-      canonical = dump;
-      canonical_threads = threads;
-      multi = json;
-      failures = result.groups_hosted - result.groups_converged;
-      for (const auto& g : result.groups) {
-        if (g.converged) continue;
-        std::cout << "FAIL group g" << g.id << " ("
-                  << sgk::to_string(g.protocol) << "):\n";
-        for (const std::string& v : g.violations)
-          std::cout << "       " << v << "\n";
-      }
-      std::cout << "multi_group: " << result.groups_hosted << " groups, "
-                << result.groups_converged << " converged, "
-                << result.rekeys << " rekeys over " << std::fixed
-                << std::setprecision(1) << result.virtual_makespan_ms
-                << "ms virtual (" << result.epochs_executed << " epochs)\n"
-                << "  groups/sec " << std::setprecision(2)
-                << result.groups_per_sec << "  rekeys/sec "
-                << result.rekeys_per_sec << "  onboard p50 "
-                << result.onboard_p50_ms << "ms p99 " << result.onboard_p99_ms
-                << "ms  event-to-key p50 " << result.event_to_key_p50_ms
-                << "ms p99 " << result.event_to_key_p99_ms << "ms\n";
-    } else if (dump != canonical) {
-      determinism_ok = false;
-      const auto mismatch =
-          std::mismatch(dump.begin(), dump.end(), canonical.begin(),
-                        canonical.end());
-      std::cout << "DETERMINISM VIOLATION: --threads " << threads
-                << " diverges from --threads " << canonical_threads
-                << " at byte "
-                << (mismatch.first - dump.begin()) << "\n"
-                << "       repro: multi_group --groups=" << groups
-                << " --members=" << members << " --events=" << events
-                << " --seed=" << opts.seed << " --scale="
-                << canonical_threads << "," << threads << "\n";
-    } else {
-      std::cout << "determinism ok: --threads " << threads << " == --threads "
-                << canonical_threads << " (" << canonical.size()
-                << " bytes)\n";
-    }
-  }
+  sgk::obs::Json multi;  // first run's section
+  std::ostringstream repro;
+  repro << "multi_group --groups=" << groups << " --members=" << members
+        << " --events=" << events << " --seed=" << opts.seed;
+  const sgk::ThreadSweep sweep = sgk::sweep_thread_scale(
+      scale, "", repro.str(), opts.wallclock,
+      [&](int threads, bool first) {
+        // Later runs only check determinism: the report's metrics describe
+        // the first run, so --threads 4 and --scale 1,4 write the same bytes.
+        sgk::obs::ScopedMetrics scoped(first ? sgk::obs::metrics() : nullptr);
+        sgk::server::GroupServer server(config_for(threads));
+        const sgk::server::ServerResult result = server.run();
+        sgk::obs::Json json = result.to_json(/*with_groups=*/per_group);
+        std::string dump = json.dump(2);
+        if (!first) return dump;
+        multi = std::move(json);
+        failures = result.groups_hosted - result.groups_converged;
+        for (const auto& g : result.groups) {
+          if (g.converged) continue;
+          std::cout << "FAIL group g" << g.id << " ("
+                    << sgk::to_string(g.protocol) << "):\n";
+          for (const std::string& v : g.violations)
+            std::cout << "       " << v << "\n";
+        }
+        std::cout << "multi_group: " << result.groups_hosted << " groups, "
+                  << result.groups_converged << " converged, "
+                  << result.rekeys << " rekeys over " << std::fixed
+                  << std::setprecision(1) << result.virtual_makespan_ms
+                  << "ms virtual (" << result.epochs_executed << " epochs)\n"
+                  << "  groups/sec " << std::setprecision(2)
+                  << result.groups_per_sec << "  rekeys/sec "
+                  << result.rekeys_per_sec << "  onboard p50 "
+                  << result.onboard_p50_ms << "ms p99 "
+                  << result.onboard_p99_ms << "ms  event-to-key p50 "
+                  << result.event_to_key_p50_ms << "ms p99 "
+                  << result.event_to_key_p99_ms << "ms\n";
+        return dump;
+      },
+      std::cout);
 
   report.add_section("multi_group", std::move(multi));
 
@@ -241,38 +200,8 @@ int main(int argc, char** argv) {
     report.add_section("table", std::move(table));
   }
 
-  if (opts.wallclock && !wall_ms.empty()) {
-    // Host-time scaling table (stdout only: wall numbers must not leak into
-    // the deterministic sections; the per-site histograms are in the
-    // report's "wallclock" section).
-    // A row with more threads than host CPUs time-slices its workers, so
-    // its speedup says nothing about scaling; it is marked, not hidden
-    // (cpus is 0 where the host count is unknown).
-    const double base = wall_ms.front().second;
-    const int base_threads = wall_ms.front().first;
-    const auto cpus = static_cast<int>(
-        sgk::obs::wall_env_json().at("cpus").as_number());
-    std::cout << "\nwall-clock scaling (host ms; baseline " << base_threads
-              << " thread" << (base_threads == 1 ? "" : "s") << "; host cpus "
-              << cpus << ")\n";
-    std::cout << std::setw(8) << "threads" << std::setw(12) << "wall_ms"
-              << std::setw(10) << "speedup" << std::setw(12) << "efficiency"
-              << "\n";
-    for (const auto& [threads, ms] : wall_ms) {
-      const double speedup = ms > 0.0 ? base / ms : 0.0;
-      const double eff =
-          speedup * static_cast<double>(base_threads) / threads;
-      std::cout << std::setw(8) << threads << std::setw(12) << std::fixed
-                << std::setprecision(1) << ms << std::setw(10)
-                << std::setprecision(2) << speedup << std::setw(12) << eff;
-      if (cpus > 0 && threads > cpus) {
-        std::cout << "  oversubscribed (" << threads << " threads > " << cpus
-                  << " cpus): not a scaling measurement";
-      }
-      std::cout << "\n";
-    }
-  }
+  sweep.print_wall_table(std::cout);
 
   const bool wrote = session.finish(report);
-  return failures == 0 && determinism_ok && wrote ? 0 : 1;
+  return failures == 0 && sweep.determinism_ok && wrote ? 0 : 1;
 }

@@ -6,7 +6,8 @@
 //
 // Usage: trace_membership [protocol] [n] [--json out.json]
 //                         [--trace out.trace.json] [--wallclock]
-//        protocol: GDH | CKD | TGDH | TGDH-bal | STR | BD   (default TGDH)
+//        protocol: GDH | CKD | TGDH | TGDH-bal | STR | BD, any case
+//                  (default TGDH)
 //        n: group size after the join                       (default 16)
 //
 // With --wallclock the trace gains a second track (pid 1, "wall clock
@@ -14,25 +15,9 @@
 // virtual and real timelines sit side by side in Perfetto.
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "harness/bench_io.h"
-
-namespace {
-
-bool parse_protocol(const std::string& name, sgk::ProtocolKind& out) {
-  for (sgk::ProtocolKind kind :
-       {sgk::ProtocolKind::kGdh, sgk::ProtocolKind::kCkd,
-        sgk::ProtocolKind::kTgdh, sgk::ProtocolKind::kTgdhBalanced,
-        sgk::ProtocolKind::kStr, sgk::ProtocolKind::kBd}) {
-    if (name == sgk::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
@@ -44,7 +29,12 @@ int main(int argc, char** argv) {
   sgk::ProtocolKind kind = sgk::ProtocolKind::kTgdh;
   std::size_t n = 16;
   for (const std::string& arg : opts.rest) {
-    if (parse_protocol(arg, kind)) continue;
+    // One protocol name (case-insensitive); "all" is not a single protocol.
+    std::vector<sgk::ProtocolKind> named;
+    if (sgk::parse_protocols(arg, named) && named.size() == 1) {
+      kind = named.front();
+      continue;
+    }
     n = static_cast<std::size_t>(std::stoul(arg));
   }
   if (n < 2) {

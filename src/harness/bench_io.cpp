@@ -1,10 +1,15 @@
 #include "harness/bench_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <iomanip>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "obs/wallclock.h"
 
 namespace sgk {
 
@@ -194,6 +199,83 @@ std::string lower_name(ProtocolKind kind) {
   std::string s = to_string(kind);
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
+}
+
+std::vector<int> parse_scale(const std::string& list) {
+  std::vector<int> out;
+  std::stringstream ss(list);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    const int t = std::stoi(item);
+    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
+    out.push_back(t);
+  }
+  if (out.empty()) throw std::runtime_error("--scale requires a list");
+  return out;
+}
+
+ThreadSweep sweep_thread_scale(
+    const std::vector<int>& scale, const std::string& mode,
+    const std::string& repro, bool wallclock,
+    const std::function<std::string(int threads, bool first)>& run,
+    std::ostream& out) {
+  ThreadSweep sweep;
+  sweep.mode = mode;
+  const std::string tag = mode.empty() ? "" : " (" + mode + ")";
+  std::string canonical;  // first run's JSON
+  for (std::size_t i = 0; i < scale.size(); ++i) {
+    const int threads = scale[i];
+    const std::uint64_t t0 = wallclock ? obs::wall_now_ns() : 0;
+    const std::string dump = run(threads, i == 0);
+    if (wallclock) {
+      sweep.wall_ms.emplace_back(
+          threads, static_cast<double>(obs::wall_now_ns() - t0) / 1e6);
+    }
+    if (i == 0) {
+      canonical = dump;
+    } else if (dump != canonical) {
+      sweep.determinism_ok = false;
+      const auto mismatch = std::mismatch(dump.begin(), dump.end(),
+                                          canonical.begin(), canonical.end());
+      out << "DETERMINISM VIOLATION" << tag << ": --threads " << threads
+          << " diverges from --threads " << scale[0] << " at byte "
+          << (mismatch.first - dump.begin()) << "\n"
+          << "       repro: " << repro << " --scale=" << scale[0] << ","
+          << threads << "\n";
+    } else {
+      out << "determinism ok" << tag << ": --threads " << threads
+          << " == --threads " << scale[0] << " (" << canonical.size()
+          << " bytes)\n";
+    }
+  }
+  return sweep;
+}
+
+void ThreadSweep::print_wall_table(std::ostream& out) const {
+  if (wall_ms.empty()) return;
+  // Host time lives on stdout only: wall numbers must not leak into the
+  // deterministic report sections.
+  const double base = wall_ms.front().second;
+  const int base_threads = wall_ms.front().first;
+  const auto cpus =
+      static_cast<int>(obs::wall_env_json().at("cpus").as_number());
+  out << "\nwall-clock scaling" << (mode.empty() ? "" : ", " + mode + " mode")
+      << " (host ms; baseline " << base_threads << " thread"
+      << (base_threads == 1 ? "" : "s") << "; host cpus " << cpus << ")\n";
+  out << std::setw(8) << "threads" << std::setw(12) << "wall_ms"
+      << std::setw(10) << "speedup" << std::setw(12) << "efficiency" << "\n";
+  for (const auto& [threads, ms] : wall_ms) {
+    const double speedup = ms > 0.0 ? base / ms : 0.0;
+    const double eff = speedup * static_cast<double>(base_threads) / threads;
+    out << std::setw(8) << threads << std::setw(12) << std::fixed
+        << std::setprecision(1) << ms << std::setw(10) << std::setprecision(2)
+        << speedup << std::setw(12) << eff;
+    if (cpus > 0 && threads > cpus) {
+      out << "  oversubscribed (" << threads << " threads > " << cpus
+          << " cpus): not a scaling measurement";
+    }
+    out << "\n";
+  }
 }
 
 obs::Json sweep_to_json(const SweepResult& result) {

@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -99,6 +102,37 @@ bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
 
 /// Lower-case protocol name, as parse_protocols accepts it (repro lines).
 std::string lower_name(ProtocolKind kind);
+
+/// Parses a --scale value: comma-separated worker-thread counts, each >= 1.
+/// Throws std::runtime_error for an empty list or a count below 1.
+std::vector<int> parse_scale(const std::string& list);
+
+/// Outcome of a thread-scale sweep (sweep_thread_scale).
+struct ThreadSweep {
+  std::string mode;  // label printed in parentheses; empty for none
+  bool determinism_ok = true;  // every run's JSON equalled the first run's
+  std::vector<std::pair<int, double>> wall_ms;  // (threads, host ms)
+
+  /// Prints the host-time scaling table: wall ms, speedup and efficiency
+  /// against the first run. A row with more threads than host cpus
+  /// time-slices its workers, so it is marked oversubscribed rather than
+  /// read as scaling (cpus is 0 where the host count is unknown). Prints
+  /// nothing when no wall time was recorded.
+  void print_wall_table(std::ostream& out) const;
+};
+
+/// Runs `run(threads, first)` once per entry of `scale`, in order; `first`
+/// is true for the first run only. `run` returns the run's canonical JSON,
+/// which must be the same bytes at every thread count. Every later run
+/// prints either `determinism ok` or a `DETERMINISM VIOLATION` line naming
+/// the first differing byte, followed by a repro line `<repro> --scale=
+/// <first>,<threads>`. With `wallclock`, each run's host ms is recorded (no
+/// host clock is read otherwise).
+ThreadSweep sweep_thread_scale(
+    const std::vector<int>& scale, const std::string& mode,
+    const std::string& repro, bool wallclock,
+    const std::function<std::string(int threads, bool first)>& run,
+    std::ostream& out);
 
 /// Serializes a sweep for the BENCH_*.json "sweeps" entries: sizes plus, per
 /// series, the mean curve and per-size median / p95 over seeds (the median is

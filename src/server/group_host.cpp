@@ -9,7 +9,9 @@
 #include "util/check.h"
 
 namespace sgk::server {
+namespace {
 
+// The group's seeded churn plan, derived purely from its spec.
 fault::FaultPlan build_group_plan(const GroupSpec& spec) {
   fault::FaultPlan plan(spec.seed, spec.rates);
   if (!spec.script.empty()) {
@@ -41,11 +43,22 @@ fault::FaultPlan build_group_plan(const GroupSpec& spec) {
   return plan;
 }
 
-double group_deadline_ms(const GroupSpec& spec) {
-  const fault::FaultPlan plan = build_group_plan(spec);
+// Scheduled time of the plan's last churn op (onboarding when it has none).
+double plan_last_op_ms(const GroupSpec& spec, const fault::FaultPlan& plan) {
   const auto& ops = plan.ops();
-  const double last_op = ops.empty() ? spec.onboard_at_ms : ops.back().at_ms;
-  return std::max(last_op, spec.onboard_at_ms) + spec.grace_ms;
+  return ops.empty() ? spec.onboard_at_ms : ops.back().at_ms;
+}
+
+// Liveness bound over a built plan: last churn op + grace.
+double plan_deadline_ms(const GroupSpec& spec, const fault::FaultPlan& plan) {
+  return std::max(plan_last_op_ms(spec, plan), spec.onboard_at_ms) +
+         spec.grace_ms;
+}
+
+}  // namespace
+
+double group_deadline_ms(const GroupSpec& spec) {
+  return plan_deadline_ms(spec, build_group_plan(spec));
 }
 
 GroupHost::GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
@@ -76,9 +89,8 @@ GroupHost::GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
   }
   net_.set_fault_hook(&injector_);
 
-  const auto& ops = injector_.plan().ops();
-  last_op_ms_ = ops.empty() ? spec_.onboard_at_ms : ops.back().at_ms;
-  deadline_ms_ = std::max(last_op_ms_, spec_.onboard_at_ms) + spec_.grace_ms;
+  last_op_ms_ = plan_last_op_ms(spec_, injector_.plan());
+  deadline_ms_ = plan_deadline_ms(spec_, injector_.plan());
 
   // Arm everything up front on this group's private simulator: onboarding at
   // the scheduled time, then the churn plan (absolute virtual times).
@@ -109,22 +121,6 @@ void GroupHost::advance(SimTime until) {
     crashed_ = true;
     forced_ = true;
   }
-}
-
-GroupStatus GroupHost::status() const {
-  GroupStatus s;
-  if (finalized_ || done()) {
-    s.state = forced_ ? GroupState::kFailed : GroupState::kSettled;
-    s.settled_ms = sim_.now();
-  } else if (first_key_ms_ >= 0.0) {
-    s.state = GroupState::kActive;
-  } else {
-    s.state = GroupState::kOnboarding;
-  }
-  s.epoch = keyed_epochs_.empty() ? 0 : keyed_epochs_.back();
-  s.members = alive().size();
-  s.rekeys = keyed_epochs_.size() <= 1 ? 0 : keyed_epochs_.size() - 1;
-  return s;
 }
 
 GroupReport GroupHost::finalize(SharedSpreadStats* shared) {

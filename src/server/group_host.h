@@ -20,13 +20,16 @@
 #include <string>
 #include <vector>
 
+#include "core/key_agreement.h"
+#include "crypto/dh.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
 #include "fault/mutator.h"
+#include "fault/plan.h"
+#include "gcs/rekey_batcher.h"
 #include "gcs/secure_group.h"
 #include "gcs/spread.h"
 #include "obs/metrics.h"
-#include "server/group_directory.h"
 #include "sim/fault_adapter.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -34,12 +37,70 @@
 
 namespace sgk::server {
 
-/// The group's seeded churn plan, derived purely from its spec (the host
-/// builds the same plan internally; the server uses this to know deadlines
-/// before any host exists).
-fault::FaultPlan build_group_plan(const GroupSpec& spec);
+using GroupId = std::uint32_t;
 
-/// Liveness bound for a spec: last scheduled churn op + grace.
+/// Shape of a group's churn schedule (see fault::FaultPlan).
+enum class StormKind {
+  kUniform,  // randomize(): uniform gaps in [min_gap_ms, max_gap_ms]
+  kPoisson,  // poisson_storm(): exponential gaps of mean mean_gap_ms
+  kBursty,   // bursty_storm(): tight bursts separated by idle stretches
+};
+
+/// Immutable per-group configuration, fixed when the server builds its
+/// schedule. Copied by value into the group's host.
+struct GroupSpec {
+  // Built once on the main thread before workers start; read-only after.
+  SGK_CONFINED_TO_RUN;
+  GroupId id = 0;
+  /// Group label: it names the metric prefixes and feeds the members' key
+  /// derivation. A server names its groups "g<id>"; a standalone run keeps
+  /// the member default.
+  std::string name = "secure-group";
+  ProtocolKind protocol = ProtocolKind::kTgdh;
+  DhBits dh_bits = DhBits::k512;
+  std::size_t initial_size = 4;
+  int churn_events = 4;
+  double onboard_at_ms = 0.0;  // virtual time the group's members start joining
+  std::uint64_t seed = 1;      // per-group schedule + DRBG seed
+  fault::FaultRates rates;     // wire-fault rates for this group's network
+  /// First churn op fires this long after onboarding begins (the chaos
+  /// harness's tested regime: late enough for the initial join burst to be
+  /// in flight, short enough that ops still land inside agreements).
+  double churn_start_ms = 50.0;
+  double min_gap_ms = 5.0;     // churn inter-op gap bounds
+  double max_gap_ms = 40.0;
+  double grace_ms = 30000.0;   // liveness bound past the last churn op
+  /// Per-member recovery watchdog (gcs/secure_group.h): a member whose
+  /// agreement outlives this window requests a quarantine rekey instead of
+  /// wedging forever. A long-lived server arms it by default — at thousands
+  /// of groups, rare per-group liveness corners become routine events.
+  double recovery_watchdog_ms = 5000.0;
+  /// Ceiling for the recovery/watchdog exponential backoff (MemberConfig).
+  double recovery_backoff_cap_ms = 2000.0;
+  /// Churn schedule shape; kUniform reproduces the pre-storm plans exactly.
+  StormKind storm = StormKind::kUniform;
+  double mean_gap_ms = 10.0;   // kPoisson: mean inter-event gap
+  int burst_size = 8;          // kBursty: events per burst
+  double intra_gap_ms = 1.0;   // kBursty: gap inside a burst
+  double idle_gap_ms = 400.0;  // kBursty: quiet stretch between bursts
+  /// Rekey batching for this group's network (disabled by default — every
+  /// membership event rekeys immediately, the legacy behavior).
+  BatchConfig batch;
+  /// Scripted mode: when non-empty these ops replace the storm, at times
+  /// relative to onboard_at_ms (regression reproductions, unit tests).
+  std::vector<fault::ChurnOp> script;
+  /// Probability that any one stamped frame or unicast is mutated by the
+  /// structure-aware FrameMutator (fault/mutator.h). 0 keeps the wire honest.
+  double mutation_rate = 0.0;
+  /// Verify signatures at the members. When off, the mutator restricts
+  /// itself to mutations strict structural validation provably catches, so
+  /// a run still may not diverge silently.
+  bool verify_signatures = true;
+};
+
+/// Liveness bound for a spec: last scheduled churn op + grace. The server
+/// reads it before any host exists; a host computes the same bound from the
+/// plan it builds.
 double group_deadline_ms(const GroupSpec& spec);
 
 /// Deterministic per-group outcome, produced once by finalize().
@@ -90,8 +151,8 @@ class GroupHost final : public fault::ChurnTarget {
  public:
   /// Builds the deployment and schedules member onboarding at
   /// `spec.onboard_at_ms` plus the seeded churn plan after it. `pki` is the
-  /// server-wide directory shared across groups; `first_pid` is this group's
-  /// disjoint process-id block.
+  /// server-wide public-key directory shared across groups; `first_pid` is
+  /// this group's disjoint process-id block.
   GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
             ProcessId first_pid, const Topology& topology);
   ~GroupHost() override;
@@ -128,9 +189,6 @@ class GroupHost final : public fault::ChurnTarget {
   double deadline_ms() const { return deadline_ms_; }
 
   const GroupSpec& spec() const { return spec_; }
-
-  /// Directory row reflecting current progress.
-  GroupStatus status() const;
 
   /// Checks invariants, absorbs transport totals into `shared` (when given)
   /// and builds the report. Call once, after done(), from the finalizing

@@ -59,7 +59,6 @@ ServerResult GroupServer::run() {
   double max_deadline = 0.0;
   for (GroupId gid = 0; gid < static_cast<GroupId>(n); ++gid) {
     specs.push_back(spec_for(gid));
-    directory_.register_group(specs.back());
     max_deadline = std::max(max_deadline, group_deadline_ms(specs.back()));
   }
   hosts_.resize(n);  // each epoch, a slot belongs to the worker that claimed it
@@ -91,7 +90,6 @@ ServerResult GroupServer::run() {
               slot = std::make_unique<GroupHost>(
                   specs[gid], pki_,
                   static_cast<ProcessId>(gid) * kPidStride, topo);
-              directory_.update(specs[gid].id, slot->status());
             }
             if (slot->done()) continue;
             if (t >= slot->deadline_ms()) {
@@ -101,7 +99,6 @@ ServerResult GroupServer::run() {
             } else {
               slot->advance(t);
             }
-            directory_.update(specs[gid].id, slot->status());
           }
         });
       }
@@ -125,7 +122,6 @@ ServerResult GroupServer::run() {
   for (std::size_t gid = 0; gid < n; ++gid) {
     GroupHost& host = *hosts_[gid];
     GroupReport report = host.finalize(&shared_stats_);
-    directory_.update(report.id, host.status());
     if (ambient != nullptr) {
       ambient->merge_from(host.metrics());
       if (config_.per_group_metrics) {

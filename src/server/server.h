@@ -26,7 +26,6 @@
 #include "gcs/secure_group.h"
 #include "gcs/spread.h"
 #include "obs/json.h"
-#include "server/group_directory.h"
 #include "server/group_host.h"
 #include "server/shard_executor.h"
 #include "sim/topology.h"
@@ -117,10 +116,11 @@ struct ServerResult {
 };
 
 class GroupServer {
-  // Orchestrator state is main-thread-owned: workers only ever touch the
-  // host slots they claimed this epoch (via the epoch closure) plus the
-  // individually locked shared structures (Pki, GroupDirectory,
-  // SharedSpreadStats). The epoch barrier orders every slot hand-off.
+  // Orchestrator state is main-thread-owned, and the hosts are the only
+  // per-group state: workers only ever touch the host slots they claimed
+  // this epoch (via the epoch closure) plus the individually locked shared
+  // structures (Pki, SharedSpreadStats). The epoch barrier orders every slot
+  // hand-off; the report is folded from the hosts' finalize() reports.
   SGK_CONFINED_TO_RUN;
 
  public:
@@ -135,7 +135,6 @@ class GroupServer {
   /// byte-identical results. Call once.
   ServerResult run();
 
-  const GroupDirectory& directory() const { return directory_; }
   const SharedSpreadStats& shared_stats() const { return shared_stats_; }
 
   /// Process-id block width per group (first pid of group g is
@@ -147,7 +146,6 @@ class GroupServer {
 
   ServerConfig config_;
   std::shared_ptr<Pki> pki_;
-  GroupDirectory directory_;
   SharedSpreadStats shared_stats_;
   std::vector<std::unique_ptr<GroupHost>> hosts_;  // by gid; claimed per epoch
   bool ran_ = false;

@@ -1,7 +1,12 @@
 // Tests of the experiment harness and sweeps (the machinery behind the
+// figure benches).
 #include <fstream>
 #include <sstream>
-// figure benches).
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/bench_io.h"
@@ -215,6 +220,81 @@ TEST(BenchIo, SweepToJsonEmitsMedianAndP95) {
   EXPECT_DOUBLE_EQ(entry.at("median_ms").at(std::size_t{1}).as_number(), 5.0);
   // p95 with 3 samples interpolates toward the max.
   EXPECT_NEAR(entry.at("p95_ms").at(std::size_t{1}).as_number(), 5.9, 1e-9);
+}
+
+TEST(BenchIo, ParseScaleRejectsZeroNegativeAndEmpty) {
+  EXPECT_EQ(parse_scale("1,2,4"), (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(parse_scale("3"), (std::vector<int>{3}));
+  EXPECT_THROW(parse_scale("0"), std::runtime_error);
+  EXPECT_THROW(parse_scale("1,0"), std::runtime_error);
+  EXPECT_THROW(parse_scale("-2"), std::runtime_error);
+  EXPECT_THROW(parse_scale(""), std::runtime_error);
+}
+
+// A run whose JSON differs at one thread count turns the verdict false and
+// prints the violation with a repro naming the first and the bad count; the
+// runs that match still print their "determinism ok" line.
+TEST(BenchIo, ThreadSweepReportsTheDivergingThreadCount) {
+  std::vector<int> firsts;
+  std::ostringstream out;
+  const ThreadSweep sweep = sweep_thread_scale(
+      {2, 3, 5}, "batched", "bench --seed=7", /*wallclock=*/false,
+      [&](int threads, bool first) {
+        if (first) firsts.push_back(threads);
+        return std::string(threads == 5 ? "{\"a\": 2}" : "{\"a\": 1}");
+      },
+      out);
+  EXPECT_FALSE(sweep.determinism_ok);
+  EXPECT_EQ(firsts, std::vector<int>{2});
+  EXPECT_TRUE(sweep.wall_ms.empty());
+  const std::string text = out.str();
+  EXPECT_NE(text.find("determinism ok (batched): --threads 3 == --threads 2 "
+                      "(8 bytes)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("DETERMINISM VIOLATION (batched): --threads 5 diverges "
+                      "from --threads 2 at byte 6"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("repro: bench --seed=7 --scale=2,5\n"),
+            std::string::npos)
+      << text;
+
+  std::ostringstream quiet;
+  const ThreadSweep same = sweep_thread_scale(
+      {1, 4}, "", "bench", /*wallclock=*/true,
+      [](int, bool) { return std::string("{}"); }, quiet);
+  EXPECT_TRUE(same.determinism_ok);
+  EXPECT_EQ(quiet.str(),
+            "determinism ok: --threads 4 == --threads 1 (2 bytes)\n");
+  ASSERT_EQ(same.wall_ms.size(), 2u);
+  EXPECT_EQ(same.wall_ms[1].first, 4);
+}
+
+// Rows with more threads than host cpus are marked, not read as scaling.
+TEST(BenchIo, WallTableMarksOversubscribedRows) {
+  const auto cpus = static_cast<int>(std::thread::hardware_concurrency());
+  ThreadSweep sweep;
+  sweep.mode = "batched";
+  std::ostringstream none;
+  sweep.print_wall_table(none);
+  EXPECT_EQ(none.str(), "");
+
+  sweep.wall_ms = {{1, 100.0}, {cpus + 1, 50.0}};
+  std::ostringstream out;
+  sweep.print_wall_table(out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("wall-clock scaling, batched mode (host ms; baseline 1 "
+                      "thread; host cpus " + std::to_string(cpus) + ")"),
+            std::string::npos)
+      << text;
+  if (cpus > 0) {
+    EXPECT_NE(text.find("oversubscribed (" + std::to_string(cpus + 1) +
+                        " threads > " + std::to_string(cpus) + " cpus)"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("oversubscribed"), text.rfind("oversubscribed"));
+  }
 }
 
 TEST(Sweep, SamplesBackTheAverages) {
