@@ -167,6 +167,9 @@ int main(int argc, char** argv) {
     mode.sweep = sgk::sweep_thread_scale(
         scale, label, repro.str(), opts.wallclock,
         [&](int threads, bool first) {
+          // Later runs only check determinism: the report's metrics describe
+          // each mode's first run, whatever the --scale list.
+          sgk::obs::ScopedMetrics scoped(first ? sgk::obs::metrics() : nullptr);
           sgk::server::GroupServer server(config_for(threads, batched));
           sgk::server::ServerResult result = server.run();
           sgk::obs::Json json = result.to_json(/*with_groups=*/false);

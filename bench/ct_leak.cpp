@@ -28,6 +28,9 @@
 // Inverse rows time mod_inverse (safegcd) of a fixed input against random
 // inputs below the 160-bit subgroup order q (DhGroup::inverse_q's shape) and
 // the DH-512 and DH-1024 primes. The program always exits 0 (report only).
+// Its header names the kernel the K = 8 and K = 16 rows ran: the
+// MULX/ADCX/ADOX routines where the CPU has BMI2 and ADX, else the portable
+// one.
 //
 // Usage: ct_leak [--samples N]   (N per class and row; default 5000)
 #include <algorithm>
@@ -40,6 +43,7 @@
 
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
+#include "bignum/montgomery_adx.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "obs/wallclock.h"
@@ -179,6 +183,8 @@ int main(int argc, char** argv) {
   sgk::Drbg rng(1, "ct_leak");
   std::printf("Welch t-test, fixed vs random class; leak if |t| > %.1f\n",
               sgk::kThreshold);
+  std::printf("K=8 and K=16 rows run the %s kernel\n",
+              sgk::adx::selected() ? "mulx/adcx/adox" : "portable");
   auto random_base = [&rng](const sgk::BigInt& p) {
     return sgk::BigInt::random_below(p, rng);
   };

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "bignum/montgomery_adx.h"
 #include "util/secure_bytes.h"
 
 namespace sgk {
@@ -107,14 +108,19 @@ struct Modulus {
 // nor slower); K = 0 reads the limb count from the modulus at run time and
 // sizes its stack arrays for kMaxLimbs. Values are fully reduced (< n) limb
 // arrays of k limbs; Montgomery form is v * R mod n with R = 2^(64k).
+// At K = 8 and 16, mul and sqr run the MULX/ADCX/ADOX routines of
+// montgomery_adx.h instead where adx::selected() (the CPU, never the
+// operands) says so, ending in the same masked final_sub.
 template <std::size_t K>
 class Kernel {
+  static constexpr bool kAdxBuilt = adx::kBuilt && (K == 8 || K == 16);
+
  public:
   static constexpr std::size_t kCap = K != 0 ? K : kMaxLimbs;
   using Limbs = u64[kCap];
   static constexpr Limbs kOne = {1};
 
-  explicit Kernel(const Modulus& mod) : mod_(mod) {}
+  explicit Kernel(const Modulus& mod) : mod_(mod), adx_(kAdxBuilt && adx::selected()) {}
 
   std::size_t limbs() const { return K != 0 ? K : mod_.k; }
 
@@ -192,6 +198,13 @@ class Kernel {
   // reduction word m[i] is chosen as column i completes. out may alias a
   // or b.
   void mul(u64* out, const u64* a, const u64* b) const {
+    if constexpr (kAdxBuilt) {
+      if (adx_) {
+        u64 z[2 * K];
+        const u64 carry = adx::mul<K>(z, a, b, mod_.n, mod_.n0_inv);
+        return final_sub(out, z + K, carry);
+      }
+    }
     const std::size_t k = limbs();
     const u64* n = mod_.n;
     Limbs m;
@@ -228,6 +241,13 @@ class Kernel {
   // which measured faster than this routine at 3 and 5 limbs.
   void sqr(u64* out, const u64* a) const {
     if constexpr (K == 0) return mul(out, a, a);
+    if constexpr (kAdxBuilt) {
+      if (adx_) {
+        u64 z[2 * K];
+        const u64 carry = adx::sqr<K>(z, a, mod_.n, mod_.n0_inv);
+        return final_sub(out, z + K, carry);
+      }
+    }
     const std::size_t k = limbs();
     const u64* n = mod_.n;
     Limbs m;
@@ -414,6 +434,7 @@ class Kernel {
   }
 
   const Modulus& mod_;
+  const bool adx_;  // mul and sqr run the MULX/ADCX/ADOX routines
 };
 
 template <typename F>

@@ -17,7 +17,18 @@
 // three quarters of the product's limb multiplies. Like the product, it runs
 // one instruction sequence for every input and leaves nothing visible beyond
 // the limb count. At runtime limb counts squarings run the product, which
-// measured faster there. exp() takes one of two paths:
+// measured faster there.
+//
+// On x86-64 CPUs whose cpuid reports BMI2 and ADX, the 8- and 16-limb
+// product and squaring run MULX/ADCX/ADOX routines instead
+// (montgomery_adx.h): operand-scanning rows whose two carry chains (ADCX on
+// the carry flag, ADOX on the overflow flag) interleave, ending in the same
+// masked final subtraction. They compute exactly what the portable kernel
+// computes. Like it, they have no branch and no load or store whose address
+// depends on the data, and every loop counts limbs. Which kernel runs is
+// decided once per process by the CPU, never by the operands; no option
+// selects it (only a test seam can force the portable kernel). exp() takes
+// one of two paths:
 //
 //  * secret path: a context built with a secret exponent width runs every
 //    exponent of 64 bits up to that width in fixed 4-bit windows over the

@@ -1,0 +1,87 @@
+// MULX/ADCX/ADOX Montgomery product and squaring for 8- and 16-limb moduli
+// on x86-64 (internal to src/bignum; montgomery.cpp is the only caller
+// outside the tests).
+//
+// Each routine is operand-scanning rows after Intel's "New Instructions
+// Supporting Large Integer Arithmetic on Intel Architecture Processors"
+// (2012) and OpenSSL's mulx4x/sqrx8x: a row multiplies one word by a whole
+// operand and adds it into the accumulator with two independent carry
+// chains, the low halves of the row's products on the ADOX (overflow flag)
+// chain and the high halves plus the accumulator words on the ADCX (carry
+// flag) chain. The squaring forms its cross products once, then doubles
+// them on the ADCX chain while the ADOX chain adds the squares of the
+// limbs, and reduces afterwards.
+//
+// Contract, identical for every routine: for a, b < n (n odd, k = 8 or 16
+// limbs), `z` (2k words of scratch, not aliasing a, b or n) receives
+// a * b / 2^(64k) mod n, not yet fully reduced, as the k words z[k .. 2k)
+// and the returned carry word (0 or 1): (carry : z[k .. 2k)) < 2n. The
+// caller's masked final subtraction reduces it. Every routine runs one
+// instruction sequence for every input: no branch and no load or store
+// address depends on a, b or the result, and its loops count limbs only.
+// Which routine runs depends on the CPU (selected()), never on operands.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+namespace sgk::adx {
+
+#if defined(__x86_64__) && defined(__ELF__)
+/// True where the routines are part of the build: x86-64 ELF targets (the
+/// assembly uses ELF section and symbol directives).
+inline constexpr bool kBuilt = true;
+#else
+inline constexpr bool kBuilt = false;
+#endif
+
+/// True iff 8- and 16-limb Montgomery products run these routines: where
+/// kBuilt, decided once per process by whether the CPU has BMI2 (MULX) and
+/// ADX (ADCX/ADOX), cpuid leaf 7 EBX bits 8 and 19. Only a live
+/// PortableKernelForTesting turns it off.
+bool selected();
+
+/// Test seam: while one is alive, every 8- and 16-limb product in the
+/// process runs the portable kernel, so that the oracle tests can check
+/// both kernels in one binary. Not for use outside tests.
+class PortableKernelForTesting {
+ public:
+  PortableKernelForTesting();
+  ~PortableKernelForTesting();
+  PortableKernelForTesting(const PortableKernelForTesting&) = delete;
+  PortableKernelForTesting& operator=(const PortableKernelForTesting&) = delete;
+};
+
+// Defined only where kBuilt is true, and only called there.
+extern "C" {
+std::uint64_t sgk_mont_mul8_adx(std::uint64_t* z, const std::uint64_t* a,
+                                const std::uint64_t* b, const std::uint64_t* n,
+                                std::uint64_t n0_inv);
+std::uint64_t sgk_mont_mul16_adx(std::uint64_t* z, const std::uint64_t* a,
+                                 const std::uint64_t* b, const std::uint64_t* n,
+                                 std::uint64_t n0_inv);
+std::uint64_t sgk_mont_sqr8_adx(std::uint64_t* z, const std::uint64_t* a,
+                                const std::uint64_t* n, std::uint64_t n0_inv);
+std::uint64_t sgk_mont_sqr16_adx(std::uint64_t* z, const std::uint64_t* a,
+                                 const std::uint64_t* n, std::uint64_t n0_inv);
+}
+
+/// a * b / R into z at K = 8 or 16; see the contract above.
+template <std::size_t K>
+std::uint64_t mul(std::uint64_t* z, const std::uint64_t* a, const std::uint64_t* b,
+                  const std::uint64_t* n, std::uint64_t n0_inv) {
+  static_assert(K == 8 || K == 16);
+  if constexpr (K == 8) return sgk_mont_mul8_adx(z, a, b, n, n0_inv);
+  return sgk_mont_mul16_adx(z, a, b, n, n0_inv);
+}
+
+/// a * a / R into z at K = 8 or 16; see the contract above.
+template <std::size_t K>
+std::uint64_t sqr(std::uint64_t* z, const std::uint64_t* a, const std::uint64_t* n,
+                  std::uint64_t n0_inv) {
+  static_assert(K == 8 || K == 16);
+  if constexpr (K == 8) return sgk_mont_sqr8_adx(z, a, n, n0_inv);
+  return sgk_mont_sqr16_adx(z, a, n, n0_inv);
+}
+
+}  // namespace sgk::adx

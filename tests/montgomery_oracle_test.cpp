@@ -1,19 +1,27 @@
 // Differential oracle for the Montgomery kernel: every exponentiation,
 // product, RSA-CRT signature and inverse mod q is checked against plain
 // square-and-multiply (or extended Euclid) over BigInt's schoolbook
-// multiply and Knuth division, on DRBG-seeded and edge inputs.
+// multiply and Knuth division, on DRBG-seeded and edge inputs. Every check
+// that runs 8- or 16-limb moduli runs twice where the CPU has BMI2 and ADX:
+// on the MULX/ADCX/ADOX routines and on the portable kernel.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
+#include "bignum/montgomery_adx.h"
 #include "core/crypto_context.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace sgk {
 namespace {
@@ -29,6 +37,23 @@ BigInt oracle_exp(const BigInt& base, const BigInt& e, const BigInt& n) {
 }
 
 BigInt all_ones(std::size_t bits) { return (BigInt(1) << bits) - BigInt(1); }
+
+/// Runs `check` on every kernel that serves `limbs`-limb moduli: first the
+/// MULX/ADCX/ADOX routines (8 and 16 limbs, where this CPU has BMI2 and ADX),
+/// then the portable kernel, the reference. `check` draws its inputs from
+/// its own seeds, so both passes see the same ones.
+void for_each_kernel(std::size_t limbs, const std::function<void()>& check) {
+  if ((limbs == 8 || limbs == 16) && adx::selected()) {
+    SCOPED_TRACE("kernel: mulx/adcx/adox");
+    check();
+  }
+  SCOPED_TRACE("kernel: portable");
+  const adx::PortableKernelForTesting portable;
+  check();
+}
+
+/// As above, for checks that run both 8- and 16-limb moduli.
+void for_each_kernel(const std::function<void()>& check) { for_each_kernel(8, check); }
 
 /// Odd modulus of exactly 64 * limbs bits.
 BigInt random_modulus(std::size_t limbs, Drbg& rng) {
@@ -62,122 +87,134 @@ class MontgomeryOracle : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MontgomeryOracle, PublicContextMatchesSquareAndMultiply) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-public");
-  const BigInt n = random_modulus(limbs, rng);
-  const MontgomeryCtx ctx(n);
-  for (std::size_t ebits : {1u, 2u, 3u, 23u, 24u, 79u, 80u, 239u, 240u, 512u}) {
-    const BigInt base = BigInt::random_below(n, rng);
-    const BigInt e = BigInt::random_bits(ebits, rng);
-    EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
-  }
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-public");
+    const BigInt n = random_modulus(limbs, rng);
+    const MontgomeryCtx ctx(n);
+    for (std::size_t ebits : {1u, 2u, 3u, 23u, 24u, 79u, 80u, 239u, 240u, 512u}) {
+      const BigInt base = BigInt::random_below(n, rng);
+      const BigInt e = BigInt::random_bits(ebits, rng);
+      EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
+    }
+  });
 }
 
 TEST_P(MontgomeryOracle, SecretContextMatchesSquareAndMultiply) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-secret");
-  const BigInt n = random_modulus(limbs, rng);
-  for (std::size_t width : secret_widths(limbs)) {
-    const MontgomeryCtx ctx(n, width);
-    const BigInt every_entry = every_window_value(width);
-    for (int i = 0; i < 4; ++i) {
-      const BigInt base = BigInt::random_below(n, rng);
-      // Full-width, shorter secret-path, and public-class (< 64 bits).
-      for (std::size_t ebits : {width, width - 7, std::size_t{64}, std::size_t{63}}) {
-        const BigInt e = BigInt::random_bits(ebits, rng);
-        EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
-            << "width " << width << " ebits " << ebits;
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-secret");
+    const BigInt n = random_modulus(limbs, rng);
+    for (std::size_t width : secret_widths(limbs)) {
+      const MontgomeryCtx ctx(n, width);
+      const BigInt every_entry = every_window_value(width);
+      for (int i = 0; i < 4; ++i) {
+        const BigInt base = BigInt::random_below(n, rng);
+        // Full-width, shorter secret-path, and public-class (< 64 bits).
+        for (std::size_t ebits : {width, width - 7, std::size_t{64}, std::size_t{63}}) {
+          const BigInt e = BigInt::random_bits(ebits, rng);
+          EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
+              << "width " << width << " ebits " << ebits;
+        }
+        EXPECT_EQ(ctx.exp(base, every_entry), oracle_exp(base, every_entry, n))
+            << "width " << width << " every window value";
       }
-      EXPECT_EQ(ctx.exp(base, every_entry), oracle_exp(base, every_entry, n))
-          << "width " << width << " every window value";
     }
-  }
+  });
 }
 
 TEST_P(MontgomeryOracle, EdgeBasesAndExponents) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-edge");
-  const BigInt n = random_modulus(limbs, rng);
-  const std::size_t width = 64 * limbs;
-  const std::vector<BigInt> bases = {
-      BigInt(),                      // 0
-      BigInt(1),                     //
-      n - BigInt(1),                 // -1
-      n,                             // = n, reduces to 0
-      n + BigInt(5),                 // >= n
-      n * BigInt(3) + BigInt(2),     // several multiples of n above
-      all_ones(width),               // every limb all ones (>= n)
-      all_ones(width - 64),          // all-ones limbs below n
-      BigInt(1) << (width + 7),      // wider than the modulus
-  };
-  const std::vector<BigInt> exps = {
-      BigInt(),
-      BigInt(1),
-      BigInt(2),
-      BigInt(3),
-      all_ones(64),
-      all_ones(width),
-      BigInt(1) << (width - 1),
-      n - BigInt(1),
-  };
-  const MontgomeryCtx pub(n);
-  const MontgomeryCtx sec(n, width);
-  for (const BigInt& b : bases) {
-    for (const BigInt& e : exps) {
-      const BigInt want = oracle_exp(b, e, n);
-      EXPECT_EQ(pub.exp(b, e), want) << b.to_hex() << " ^ " << e.to_hex();
-      EXPECT_EQ(sec.exp(b, e), want) << b.to_hex() << " ^ " << e.to_hex();
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-edge");
+    const BigInt n = random_modulus(limbs, rng);
+    const std::size_t width = 64 * limbs;
+    const std::vector<BigInt> bases = {
+        BigInt(),                      // 0
+        BigInt(1),                     //
+        n - BigInt(1),                 // -1
+        n,                             // = n, reduces to 0
+        n + BigInt(5),                 // >= n
+        n * BigInt(3) + BigInt(2),     // several multiples of n above
+        all_ones(width),               // every limb all ones (>= n)
+        all_ones(width - 64),          // all-ones limbs below n
+        BigInt(1) << (width + 7),      // wider than the modulus
+    };
+    const std::vector<BigInt> exps = {
+        BigInt(),
+        BigInt(1),
+        BigInt(2),
+        BigInt(3),
+        all_ones(64),
+        all_ones(width),
+        BigInt(1) << (width - 1),
+        n - BigInt(1),
+    };
+    const MontgomeryCtx pub(n);
+    const MontgomeryCtx sec(n, width);
+    for (const BigInt& b : bases) {
+      for (const BigInt& e : exps) {
+        const BigInt want = oracle_exp(b, e, n);
+        EXPECT_EQ(pub.exp(b, e), want) << b.to_hex() << " ^ " << e.to_hex();
+        EXPECT_EQ(sec.exp(b, e), want) << b.to_hex() << " ^ " << e.to_hex();
+      }
     }
-  }
+  });
 }
 
 TEST_P(MontgomeryOracle, ExponentsWithZeroTopWindow) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-window");
-  const BigInt n = random_modulus(limbs, rng);
-  for (std::size_t width : secret_widths(limbs)) {
-    const MontgomeryCtx ctx(n, width);
-    const BigInt base = BigInt::random_below(n, rng);
-    // The padded top 4-bit window (and more) is zero; bit 64 keeps the
-    // exponent on the secret path.
-    for (std::size_t ebits : {width - 4, width - 5, std::size_t{65}}) {
-      if (ebits < 64) continue;
-      const BigInt e = BigInt::random_bits(ebits, rng);
-      EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-window");
+    const BigInt n = random_modulus(limbs, rng);
+    for (std::size_t width : secret_widths(limbs)) {
+      const MontgomeryCtx ctx(n, width);
+      const BigInt base = BigInt::random_below(n, rng);
+      // The padded top 4-bit window (and more) is zero; bit 64 keeps the
+      // exponent on the secret path.
+      for (std::size_t ebits : {width - 4, width - 5, std::size_t{65}}) {
+        if (ebits < 64) continue;
+        const BigInt e = BigInt::random_bits(ebits, rng);
+        EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
+      }
+      // Zero windows in the middle and at the bottom.
+      const BigInt sparse = (BigInt(1) << (width - 1)) + (BigInt(1) << 64);
+      EXPECT_EQ(ctx.exp(base, sparse), oracle_exp(base, sparse, n));
     }
-    // Zero windows in the middle and at the bottom.
-    const BigInt sparse = (BigInt(1) << (width - 1)) + (BigInt(1) << 64);
-    EXPECT_EQ(ctx.exp(base, sparse), oracle_exp(base, sparse, n));
-  }
+  });
 }
 
 TEST_P(MontgomeryOracle, ExponentsAtAndAboveDeclaredWidth) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-width");
-  const BigInt n = random_modulus(limbs, rng);
-  for (std::size_t width : secret_widths(limbs)) {
-    const MontgomeryCtx ctx(n, width);
-    const BigInt base = BigInt::random_below(n, rng);
-    for (std::size_t ebits : {width, width + 1, width + 64, 2 * width + 3}) {
-      const BigInt e = BigInt::random_bits(ebits, rng);
-      EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-width");
+    const BigInt n = random_modulus(limbs, rng);
+    for (std::size_t width : secret_widths(limbs)) {
+      const MontgomeryCtx ctx(n, width);
+      const BigInt base = BigInt::random_below(n, rng);
+      for (std::size_t ebits : {width, width + 1, width + 64, 2 * width + 3}) {
+        const BigInt e = BigInt::random_bits(ebits, rng);
+        EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n)) << "ebits " << ebits;
+      }
     }
-  }
+  });
 }
 
 TEST_P(MontgomeryOracle, MulMatchesSchoolbook) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-mul");
-  const BigInt n = random_modulus(limbs, rng);
-  const MontgomeryCtx ctx(n);
-  const std::vector<BigInt> edges = {BigInt(), BigInt(1), n - BigInt(1),
-                                     all_ones(64 * limbs - 1)};
-  for (const BigInt& a : edges)
-    for (const BigInt& b : edges) EXPECT_EQ(ctx.mul(a, b), a * b % n);
-  for (int i = 0; i < 8; ++i) {
-    const BigInt a = BigInt::random_below(n, rng);
-    const BigInt b = BigInt::random_below(n, rng);
-    EXPECT_EQ(ctx.mul(a, b), a * b % n);
-  }
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-mul");
+    const BigInt n = random_modulus(limbs, rng);
+    const MontgomeryCtx ctx(n);
+    const std::vector<BigInt> edges = {BigInt(), BigInt(1), n - BigInt(1),
+                                       all_ones(64 * limbs - 1)};
+    for (const BigInt& a : edges)
+      for (const BigInt& b : edges) EXPECT_EQ(ctx.mul(a, b), a * b % n);
+    for (int i = 0; i < 8; ++i) {
+      const BigInt a = BigInt::random_below(n, rng);
+      const BigInt b = BigInt::random_below(n, rng);
+      EXPECT_EQ(ctx.mul(a, b), a * b % n);
+    }
+  });
 }
 
 // ---- squaring --------------------------------------------------------------
@@ -210,50 +247,54 @@ std::vector<BigInt> oracle_squares(const BigInt& a, const BigInt& n, std::size_t
 // window (its multiplies all pick the table's entry 1).
 TEST_P(MontgomeryOracle, SquaringChainsMatchSchoolbook) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-square");
-  const std::size_t width = 64 * limbs;
-  // Secret-path chains t = 63 .. width - 1 (exponents of 64 to width bits):
-  // every t up to 130, then every 13th (odd, so the set bit still moves
-  // through each window position) to bound the run time, and the last one.
-  std::vector<std::size_t> secret_ts;
-  for (std::size_t t = 63; t < width; t += t < 130 ? 1 : 13) secret_ts.push_back(t);
-  if (secret_ts.back() != width - 1) secret_ts.push_back(width - 1);
-  for (const BigInt& n : squaring_moduli(limbs, rng)) {
-    const MontgomeryCtx pub(n);
-    const MontgomeryCtx sec(n, width);
-    for (const BigInt& a : squaring_operands(n, rng)) {
-      const std::vector<BigInt> want = oracle_squares(a, n, width + 64);
-      for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{64},
-                            width, width + 64}) {
-        EXPECT_EQ(pub.exp(a, BigInt(1) << t), want[t])
-            << "public n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
-      }
-      for (std::size_t t : secret_ts) {
-        EXPECT_EQ(sec.exp(a, BigInt(1) << t), want[t])
-            << "secret n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-square");
+    const std::size_t width = 64 * limbs;
+    // Secret-path chains t = 63 .. width - 1 (exponents of 64 to width bits):
+    // every t up to 130, then every 13th (odd, so the set bit still moves
+    // through each window position) to bound the run time, and the last one.
+    std::vector<std::size_t> secret_ts;
+    for (std::size_t t = 63; t < width; t += t < 130 ? 1 : 13) secret_ts.push_back(t);
+    if (secret_ts.back() != width - 1) secret_ts.push_back(width - 1);
+    for (const BigInt& n : squaring_moduli(limbs, rng)) {
+      const MontgomeryCtx pub(n);
+      const MontgomeryCtx sec(n, width);
+      for (const BigInt& a : squaring_operands(n, rng)) {
+        const std::vector<BigInt> want = oracle_squares(a, n, width + 64);
+        for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{64},
+                              width, width + 64}) {
+          EXPECT_EQ(pub.exp(a, BigInt(1) << t), want[t])
+              << "public n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
+        }
+        for (std::size_t t : secret_ts) {
+          EXPECT_EQ(sec.exp(a, BigInt(1) << t), want[t])
+              << "secret n " << n.to_hex() << " a " << a.to_hex() << " t " << t;
+        }
       }
     }
-  }
+  });
 }
 
 // The squaring routine against the product: 1000 chained squarings (exp by
 // 2^1000) equal 1000 chained products x * x (MontgomeryCtx::mul).
 TEST_P(MontgomeryOracle, SquaringChainEqualsProductChain) {
   const std::size_t limbs = GetParam();
-  Drbg rng(limbs, "oracle-square-mul");
-  constexpr std::size_t kSteps = 1000;
-  for (const BigInt& n : squaring_moduli(limbs, rng)) {
-    // 17 limbs is wide enough to take 2^1000 on the secret path.
-    const MontgomeryCtx pub(n);
-    const MontgomeryCtx sec(n, 64 * limbs);
-    for (const BigInt& a : {n - BigInt(2), BigInt::random_below(n, rng)}) {
-      BigInt x = a;
-      for (std::size_t i = 0; i < kSteps; ++i) x = pub.mul(x, x);
-      const BigInt e = BigInt(1) << kSteps;
-      EXPECT_EQ(pub.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
-      EXPECT_EQ(sec.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
+  for_each_kernel(limbs, [&] {
+    Drbg rng(limbs, "oracle-square-mul");
+    constexpr std::size_t kSteps = 1000;
+    for (const BigInt& n : squaring_moduli(limbs, rng)) {
+      // 17 limbs is wide enough to take 2^1000 on the secret path.
+      const MontgomeryCtx pub(n);
+      const MontgomeryCtx sec(n, 64 * limbs);
+      for (const BigInt& a : {n - BigInt(2), BigInt::random_below(n, rng)}) {
+        BigInt x = a;
+        for (std::size_t i = 0; i < kSteps; ++i) x = pub.mul(x, x);
+        const BigInt e = BigInt(1) << kSteps;
+        EXPECT_EQ(pub.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
+        EXPECT_EQ(sec.exp(a, e), x) << "n " << n.to_hex() << " a " << a.to_hex();
+      }
     }
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Limbs, MontgomeryOracle,
@@ -347,91 +388,101 @@ std::vector<BigInt> comb_exponents(std::size_t width, const BigInt& order,
 }
 
 TEST(MontgomeryOracleComb, DhGeneratorMatchesSquareAndMultiply) {
-  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
-    const DhGroup& grp = dh_group(bits);
-    const std::size_t width = grp.q().bit_length();
-    Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb");
-    std::vector<BigInt> es = comb_exponents(width, grp.q(), rng);
-    for (int i = 0; i < 8; ++i) es.push_back(BigInt::random_below(grp.q(), rng));
-    for (const BigInt& e : es) {
-      const BigInt want = oracle_exp(grp.g(), e, grp.p());
-      EXPECT_EQ(grp.exp_g(e), want) << e.to_hex();
-      EXPECT_EQ(grp.exp(grp.g(), e), want) << e.to_hex();
+  for_each_kernel([&] {
+    for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+      const DhGroup& grp = dh_group(bits);
+      const std::size_t width = grp.q().bit_length();
+      Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb");
+      std::vector<BigInt> es = comb_exponents(width, grp.q(), rng);
+      for (int i = 0; i < 8; ++i) es.push_back(BigInt::random_below(grp.q(), rng));
+      for (const BigInt& e : es) {
+        const BigInt want = oracle_exp(grp.g(), e, grp.p());
+        EXPECT_EQ(grp.exp_g(e), want) << e.to_hex();
+        EXPECT_EQ(grp.exp(grp.g(), e), want) << e.to_hex();
+      }
     }
-  }
+  });
 }
 
 TEST(MontgomeryOracleComb, DhGeneratorOffTheCombAgrees) {
-  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
-    const DhGroup& grp = dh_group(bits);
-    const std::size_t width = grp.q().bit_length();
-    Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb-off");
-    const BigInt unreduced = grp.g() + grp.p();
-    // Above the width (public path), below 64 bits (public path), and the
-    // unreduced base g + p (window path) at secret widths.
-    for (const BigInt& e :
-         {BigInt::random_bits(width + 1, rng), BigInt::random_bits(2 * width, rng),
-          BigInt::random_bits(63, rng), BigInt(3)}) {
-      EXPECT_EQ(grp.exp_g(e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
+  for_each_kernel([&] {
+    for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+      const DhGroup& grp = dh_group(bits);
+      const std::size_t width = grp.q().bit_length();
+      Drbg rng(bits == DhBits::k512 ? 512 : 1024, "oracle-comb-off");
+      const BigInt unreduced = grp.g() + grp.p();
+      // Above the width (public path), below 64 bits (public path), and the
+      // unreduced base g + p (window path) at secret widths.
+      for (const BigInt& e :
+           {BigInt::random_bits(width + 1, rng), BigInt::random_bits(2 * width, rng),
+            BigInt::random_bits(63, rng), BigInt(3)}) {
+        EXPECT_EQ(grp.exp_g(e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
+      }
+      for (const BigInt& e : {BigInt::random_bits(64, rng), BigInt::random_bits(width, rng),
+                              grp.q() - BigInt(1)}) {
+        EXPECT_EQ(grp.exp(unreduced, e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
+      }
     }
-    for (const BigInt& e : {BigInt::random_bits(64, rng), BigInt::random_bits(width, rng),
-                            grp.q() - BigInt(1)}) {
-      EXPECT_EQ(grp.exp(unreduced, e), oracle_exp(grp.g(), e, grp.p())) << e.to_hex();
-    }
-  }
+  });
 }
 
 TEST(MontgomeryOracleComb, FixedBaseOnEveryLimbCountAndWidth) {
-  for (std::size_t limbs : {1u, 2u, 3u, 5u, 8u, 9u, 16u, 17u}) {
-    Drbg rng(limbs, "oracle-comb-limbs");
-    const BigInt n = random_modulus(limbs, rng);
-    const BigInt base = BigInt::random_below(n, rng);
-    // Widths that split evenly, unevenly, and into blocks shorter than 8
-    // columns.
-    for (std::size_t width : {std::size_t{64}, std::size_t{67}, std::size_t{160},
-                              std::size_t{161}, 64 * limbs}) {
-      if (width > 64 * limbs) continue;
-      const MontgomeryCtx ctx(n, width, base);
-      for (const BigInt& e : comb_exponents(width, all_ones(width), rng)) {
-        EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
-            << "limbs " << limbs << " width " << width << " e " << e.to_hex();
+  for_each_kernel([&] {
+    for (std::size_t limbs : {1u, 2u, 3u, 5u, 8u, 9u, 16u, 17u}) {
+      Drbg rng(limbs, "oracle-comb-limbs");
+      const BigInt n = random_modulus(limbs, rng);
+      const BigInt base = BigInt::random_below(n, rng);
+      // Widths that split evenly, unevenly, and into blocks shorter than 8
+      // columns.
+      for (std::size_t width : {std::size_t{64}, std::size_t{67}, std::size_t{160},
+                                std::size_t{161}, 64 * limbs}) {
+        if (width > 64 * limbs) continue;
+        const MontgomeryCtx ctx(n, width, base);
+        for (const BigInt& e : comb_exponents(width, all_ones(width), rng)) {
+          EXPECT_EQ(ctx.exp(base, e), oracle_exp(base, e, n))
+              << "limbs " << limbs << " width " << width << " e " << e.to_hex();
+        }
+        // Another base on the same context takes the window path.
+        const BigInt other = BigInt::random_below(n, rng);
+        const BigInt e = BigInt::random_bits(width, rng);
+        EXPECT_EQ(ctx.exp(other, e), oracle_exp(other, e, n));
       }
-      // Another base on the same context takes the window path.
-      const BigInt other = BigInt::random_below(n, rng);
-      const BigInt e = BigInt::random_bits(width, rng);
-      EXPECT_EQ(ctx.exp(other, e), oracle_exp(other, e, n));
     }
-  }
+  });
 }
 
 TEST(MontgomeryOracleComb, CopiesShareTheTableAndBadBasesThrow) {
-  const DhGroup& grp = dh_group(DhBits::k512);
-  const std::size_t width = grp.q().bit_length();
-  const MontgomeryCtx ctx(grp.p(), width, grp.g());
-  const MontgomeryCtx copy = ctx;  // before the table exists
-  Drbg rng(3, "oracle-comb-copy");
-  const BigInt e = BigInt::random_bits(width, rng);
-  const BigInt want = oracle_exp(grp.g(), e, grp.p());
-  EXPECT_EQ(ctx.exp(grp.g(), e), want);
-  EXPECT_EQ(copy.exp(grp.g(), e), want);
-  EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.p()), std::invalid_argument);
-  EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.g() + grp.p()), std::invalid_argument);
+  for_each_kernel([&] {
+    const DhGroup& grp = dh_group(DhBits::k512);
+    const std::size_t width = grp.q().bit_length();
+    const MontgomeryCtx ctx(grp.p(), width, grp.g());
+    const MontgomeryCtx copy = ctx;  // before the table exists
+    Drbg rng(3, "oracle-comb-copy");
+    const BigInt e = BigInt::random_bits(width, rng);
+    const BigInt want = oracle_exp(grp.g(), e, grp.p());
+    EXPECT_EQ(ctx.exp(grp.g(), e), want);
+    EXPECT_EQ(copy.exp(grp.g(), e), want);
+    EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.p()), std::invalid_argument);
+    EXPECT_THROW(MontgomeryCtx(grp.p(), width, grp.g() + grp.p()), std::invalid_argument);
+  });
 }
 
 TEST(MontgomeryOracleComb, FirstGeneratorExpsRaceOnFreshGroup) {
-  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
-    const DhGroup& ref = dh_group(bits);
-    const DhGroup grp(ref.p(), ref.q(), ref.g());  // comb table not built yet
-    Drbg rng(bits == DhBits::k512 ? 5 : 10, "oracle-comb-race");
-    const BigInt e[2] = {BigInt::random_below(ref.q(), rng),
-                         BigInt::random_below(ref.q(), rng)};
-    BigInt got[2];
-    std::thread other([&] { got[1] = grp.exp_g(e[1]); });
-    got[0] = grp.exp_g(e[0]);
-    other.join();
-    for (int i = 0; i < 2; ++i)
-      EXPECT_EQ(got[i], oracle_exp(ref.g(), e[i], ref.p())) << i;
-  }
+  for_each_kernel([&] {
+    for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+      const DhGroup& ref = dh_group(bits);
+      const DhGroup grp(ref.p(), ref.q(), ref.g());  // comb table not built yet
+      Drbg rng(bits == DhBits::k512 ? 5 : 10, "oracle-comb-race");
+      const BigInt e[2] = {BigInt::random_below(ref.q(), rng),
+                           BigInt::random_below(ref.q(), rng)};
+      BigInt got[2];
+      std::thread other([&] { got[1] = grp.exp_g(e[1]); });
+      got[0] = grp.exp_g(e[0]);
+      other.join();
+      for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(got[i], oracle_exp(ref.g(), e[i], ref.p())) << i;
+    }
+  });
 }
 
 /// Miller-Rabin on the oracle's square-and-multiply, with the first twelve
@@ -494,29 +545,33 @@ TEST(MontgomeryOracleRsa, FixedTestPrimesHoldUnderTheOracle) {
 }
 
 TEST(MontgomeryOracleRsa, CrtSignMatchesPlainPrivateExponent) {
-  for (std::size_t bits : {512u, 1024u}) {
-    const KnownRsaKey k = known_rsa_key(bits);
-    const RsaPrivateKey key(k.n, 3, k.d, k.p, k.q);
-    const std::size_t len = key.public_key().modulus_bytes();
-    for (int i = 0; i < 3; ++i) {
-      const Bytes msg = {static_cast<std::uint8_t>(i), 0x42};
-      const BigInt m = BigInt::from_bytes(pkcs1_encode_sha256(msg, len));
-      const Bytes sig = key.sign(msg);
-      EXPECT_EQ(BigInt::from_bytes(sig), oracle_exp(m, k.d, k.n)) << bits;
-      EXPECT_TRUE(key.public_key().verify(msg, sig));
+  for_each_kernel([&] {
+    for (std::size_t bits : {512u, 1024u}) {
+      const KnownRsaKey k = known_rsa_key(bits);
+      const RsaPrivateKey key(k.n, 3, k.d, k.p, k.q);
+      const std::size_t len = key.public_key().modulus_bytes();
+      for (int i = 0; i < 3; ++i) {
+        const Bytes msg = {static_cast<std::uint8_t>(i), 0x42};
+        const BigInt m = BigInt::from_bytes(pkcs1_encode_sha256(msg, len));
+        const Bytes sig = key.sign(msg);
+        EXPECT_EQ(BigInt::from_bytes(sig), oracle_exp(m, k.d, k.n)) << bits;
+        EXPECT_TRUE(key.public_key().verify(msg, sig));
+      }
     }
-  }
+  });
 }
 
 TEST(MontgomeryOracleRsa, TestKeySignaturesInvertUnderPublicExponent) {
-  const Bytes msg = {1, 2, 3};
-  for (int i = 0; i < 4; ++i) {
-    const RsaPrivateKey& key = RsaPrivateKey::test_key(i);
-    const RsaPublicKey& pub = key.public_key();
-    const BigInt s = BigInt::from_bytes(key.sign(msg));
-    EXPECT_EQ(oracle_exp(s, BigInt(pub.e()), pub.n()),
-              BigInt::from_bytes(pkcs1_encode_sha256(msg, pub.modulus_bytes())));
-  }
+  for_each_kernel([&] {
+    const Bytes msg = {1, 2, 3};
+    for (int i = 0; i < 4; ++i) {
+      const RsaPrivateKey& key = RsaPrivateKey::test_key(i);
+      const RsaPublicKey& pub = key.public_key();
+      const BigInt s = BigInt::from_bytes(key.sign(msg));
+      EXPECT_EQ(oracle_exp(s, BigInt(pub.e()), pub.n()),
+                BigInt::from_bytes(pkcs1_encode_sha256(msg, pub.modulus_bytes())));
+    }
+  });
 }
 
 TEST(MontgomeryOracleFermat, InverseQMatchesEuclid) {
@@ -546,6 +601,177 @@ TEST(MontgomeryOracleFermat, CryptoContextInverseQKeepsContract) {
   EXPECT_EQ(crypto.inverse_q(a), mod_inverse_euclid(a, grp.q()));
   EXPECT_EQ(crypto.counters().mod_inverse, 1u);
   EXPECT_THROW(crypto.inverse_q(grp.q()), std::domain_error);
+}
+
+// ---- kernel choice and the MULX/ADCX/ADOX routines -------------------------
+
+TEST(MontgomeryKernelDispatch, AdxChosenExactlyWhenCpuidReportsBmi2AndAdx) {
+  bool want = false;
+#if defined(__x86_64__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0)
+    want = ((ebx >> 8) & 1) != 0 && ((ebx >> 19) & 1) != 0;  // BMI2, ADX
+#endif
+  want = want && adx::kBuilt;
+  EXPECT_EQ(adx::selected(), want);
+  {
+    const adx::PortableKernelForTesting portable;
+    EXPECT_FALSE(adx::selected());
+  }
+  EXPECT_EQ(adx::selected(), want);
+}
+
+constexpr const char* kNoAdx =
+    "no MULX/ADCX/ADOX routines here (not an x86-64 ELF build, or cpuid leaf 7 reports "
+    "no BMI2/ADX): the portable kernel is the only one";
+
+/// Odd moduli of `limbs` limbs whose products carry through every word:
+/// every limb all ones; a top limb of 2^64 - 1 or 2^63 + 1 over random lower
+/// limbs; and a bottom limb of 2^64 - 1 or 2^63 + 1 under random upper limbs
+/// (top bit set).
+std::vector<BigInt> carry_stress_moduli(std::size_t limbs, Drbg& rng) {
+  constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+  constexpr std::uint64_t kHalfPlusOne = (std::uint64_t{1} << 63) + 1;
+  auto random_limbs = [&] {
+    std::vector<std::uint64_t> l(limbs);
+    for (std::uint64_t& x : l) x = BigInt::random_bits(64, rng).limbs()[0];
+    l[0] |= 1;
+    l[limbs - 1] |= std::uint64_t{1} << 63;
+    return l;
+  };
+  std::vector<BigInt> ns = {all_ones(64 * limbs)};
+  for (std::uint64_t top : {kOnes, kHalfPlusOne}) {
+    std::vector<std::uint64_t> l = random_limbs();
+    l[limbs - 1] = top;
+    ns.push_back(BigInt::from_limbs(l));
+  }
+  for (std::uint64_t bottom : {kOnes, kHalfPlusOne}) {
+    std::vector<std::uint64_t> l = random_limbs();
+    l[0] = bottom;
+    ns.push_back(BigInt::from_limbs(l));
+  }
+  return ns;
+}
+
+/// Operands below n that stress the carries: all-ones limbs (below the top
+/// limb, and every limb where that is below n), n - 1, n - 2, 1 and a random
+/// one.
+std::vector<BigInt> carry_stress_operands(const BigInt& n, Drbg& rng) {
+  const std::size_t width = 64 * n.limbs().size();
+  std::vector<BigInt> xs = {all_ones(width - 64), n - BigInt(1), n - BigInt(2), BigInt(1),
+                            BigInt::random_below(n, rng)};
+  for (const BigInt& x : {all_ones(width - 1), all_ones(width)})
+    if (x < n) xs.push_back(x);
+  return xs;
+}
+
+/// What a context computes from one pair of operands: the product, the
+/// square by the public path's squaring, a squaring chain, and all-ones and
+/// random exponents on the secret path.
+std::vector<BigInt> kernel_results(const BigInt& n, const BigInt& a, const BigInt& b,
+                                   const BigInt& e) {
+  const std::size_t width = 64 * n.limbs().size();
+  const MontgomeryCtx pub(n);
+  const MontgomeryCtx sec(n, width);
+  return {pub.mul(a, b), pub.exp(a, BigInt(2)), pub.exp(b, BigInt(1) << 100),
+          sec.exp(a, all_ones(width)), sec.exp(b, e)};
+}
+
+TEST(MontgomeryAdx, CarryStressMatchesPortableLimbForLimb) {
+  if (!adx::selected()) GTEST_SKIP() << kNoAdx;
+  for (std::size_t limbs : {8u, 16u}) {
+    Drbg rng(limbs, "oracle-carry");
+    for (const BigInt& n : carry_stress_moduli(limbs, rng)) {
+      const std::vector<BigInt> xs = carry_stress_operands(n, rng);
+      const BigInt e = BigInt::random_bits(64 * limbs, rng);
+      const std::size_t width = 64 * limbs;
+      for (const BigInt& a : xs) {
+        for (const BigInt& b : xs) {
+          const std::vector<BigInt> fast = kernel_results(n, a, b, e);
+          std::vector<BigInt> portable;
+          {
+            const adx::PortableKernelForTesting use_portable;
+            portable = kernel_results(n, a, b, e);
+          }
+          const std::vector<BigInt> want = {
+              a * b % n, a * a % n, oracle_exp(b, BigInt(1) << 100, n),
+              oracle_exp(a, all_ones(width), n), oracle_exp(b, e, n)};
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(fast[i].limbs(), portable[i].limbs())
+                << "result " << i << " n " << n.to_hex() << " a " << a.to_hex() << " b "
+                << b.to_hex();
+            EXPECT_EQ(fast[i], want[i]) << "result " << i << " n " << n.to_hex();
+          }
+        }
+      }
+    }
+  }
+}
+
+/// -n^{-1} mod 2^64 for odd n0.
+std::uint64_t neg_inverse_64(std::uint64_t n0) {
+  std::uint64_t inv = n0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
+  return 0 - inv;
+}
+
+template <std::size_t K>
+void check_routine_contract(const BigInt& n, const std::vector<BigInt>& xs) {
+  // The routines exist on x86-64 only; elsewhere the caller skips first.
+  if constexpr (adx::kBuilt) {
+    auto padded = [](const BigInt& v) {
+      std::vector<std::uint64_t> l = v.limbs();
+      l.resize(K, 0);
+      return l;
+    };
+    const std::vector<std::uint64_t> nl = padded(n);
+    const std::uint64_t n0_inv = neg_inverse_64(nl[0]);
+    const BigInt r = BigInt(1) << (64 * K);
+    // (carry : z[K .. 2K)) as a number.
+    auto unreduced = [&](const std::uint64_t* z, std::uint64_t carry) {
+      return BigInt::from_limbs(std::vector<std::uint64_t>(z + K, z + 2 * K)) +
+             (BigInt(carry) << (64 * K));
+    };
+    for (const BigInt& a : xs) {
+      const std::vector<std::uint64_t> al = padded(a);
+      std::uint64_t z[2 * K];
+      const std::uint64_t sq_carry = adx::sqr<K>(z, al.data(), nl.data(), n0_inv);
+      const BigInt sq = unreduced(z, sq_carry);
+      EXPECT_LE(sq_carry, 1u);
+      EXPECT_LT(sq, n + n) << "square of " << a.to_hex() << " mod " << n.to_hex();
+      EXPECT_EQ(sq * r % n, a * a % n) << "square of " << a.to_hex() << " mod " << n.to_hex();
+      for (const BigInt& b : xs) {
+        const std::vector<std::uint64_t> bl = padded(b);
+        const std::uint64_t carry = adx::mul<K>(z, al.data(), bl.data(), nl.data(), n0_inv);
+        const BigInt prod = unreduced(z, carry);
+        EXPECT_LE(carry, 1u);
+        EXPECT_LT(prod, n + n) << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
+        EXPECT_EQ(prod * r % n, a * b % n)
+            << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
+      }
+    }
+  }
+}
+
+// The routines on their own: (carry : z[k .. 2k)) < 2n and equal to
+// a * b / R mod n before the caller's final subtraction.
+TEST(MontgomeryAdx, RoutinesKeepTheirContractOnCarryStressOperands) {
+  if (!adx::selected()) GTEST_SKIP() << kNoAdx;
+  for (std::size_t limbs : {8u, 16u}) {
+    Drbg rng(limbs, "oracle-carry-raw");
+    std::vector<BigInt> ns = carry_stress_moduli(limbs, rng);
+    ns.push_back(random_modulus(limbs, rng));
+    for (const BigInt& n : ns) {
+      const std::vector<BigInt> xs = carry_stress_operands(n, rng);
+      if (limbs == 8)
+        check_routine_contract<8>(n, xs);
+      else
+        check_routine_contract<16>(n, xs);
+    }
+  }
 }
 
 }  // namespace
