@@ -1,12 +1,21 @@
-// Microbenchmarks of the cryptographic primitives (google-benchmark).
+// Microbenchmarks of the cryptographic primitives, timed with the same
+// obs::WallProfiler that every bench's --wallclock uses.
 //
 // These are the primitives whose 2002-era costs the paper quotes in section
 // 6.1.1 (modular exponentiation at 512/1024 bits, RSA-1024 sign/verify with
 // e=3). On modern hardware the absolute numbers are far smaller; the *ratios*
 // (1024-bit exp ~4x 512-bit, sign >> verify for e=3) are what the simulator's
-// cost model encodes, and these benchmarks let you check those ratios hold
-// for this implementation too.
-#include <benchmark/benchmark.h>
+// cost model encodes, and these rows let you check those ratios hold for
+// this implementation too.
+//
+// Each row times single calls, at least kMinCalls of them and for at least
+// kRowNs of host time, after one untimed warm-up call, and prints the
+// calibrated p50 (histogram estimate) and exact mean ns per call.
+//
+// Usage: bench_crypto
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "bignum/modmath.h"
 #include "bignum/prime.h"
@@ -16,92 +25,90 @@
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "obs/wallclock.h"
 
 namespace sgk {
 namespace {
 
-void BM_ModExp512_Short(benchmark::State& state) {
-  const DhGroup& grp = dh_group(DhBits::k512);
+constexpr std::uint64_t kMinCalls = 20;
+constexpr std::uint64_t kRowNs = 200'000'000;  // 0.2 s
+
+// Times `op` (which returns a value derived from its result, so the call's
+// work is observable) and prints one row.
+template <class Op>
+void row(const std::string& name, Op op) {
+  obs::WallProfiler prof;
+  // Volatile stores the compiler must keep, so no timed result is dropped.
+  [[maybe_unused]] volatile std::uint64_t sink = op();  // warm-up
+  const std::uint64_t end = obs::wall_now_ns() + kRowNs;
+  for (std::uint64_t calls = 0; calls < kMinCalls || obs::wall_now_ns() < end;
+       ++calls) {
+    const std::uint64_t t0 = obs::wall_now_ns();
+    sink = op();
+    prof.record(name, t0, obs::wall_now_ns());
+  }
+  const obs::Histogram& h = *prof.site(name);
+  std::printf("%-32s %10llu %14.0f %14.0f\n", name.c_str(),
+              static_cast<unsigned long long>(h.count()), h.quantile(0.5),
+              h.mean());
+}
+
+void run_rows() {
+  std::printf("%-32s %10s %14s %14s\n", "row", "calls", "p50_ns", "mean_ns");
+
+  const DhGroup& g512 = dh_group(DhBits::k512);
+  const DhGroup& g1024 = dh_group(DhBits::k1024);
   Drbg rng(1, "bench");
-  BigInt e = grp.random_exponent(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(grp.exp_g(e));
-}
-BENCHMARK(BM_ModExp512_Short);
+  const BigInt e512 = g512.random_exponent(rng);
+  const BigInt e1024 = g1024.random_exponent(rng);
+  row("BM_ModExp512_Short", [&] { return g512.exp_g(e512).bit_length(); });
+  row("BM_ModExp1024_Short", [&] { return g1024.exp_g(e1024).bit_length(); });
 
-void BM_ModExp1024_Short(benchmark::State& state) {
-  const DhGroup& grp = dh_group(DhBits::k1024);
-  Drbg rng(2, "bench");
-  BigInt e = grp.random_exponent(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(grp.exp_g(e));
-}
-BENCHMARK(BM_ModExp1024_Short);
-
-void BM_ModExp512_SmallExponent(benchmark::State& state) {
   // BD's step-3 "hidden cost" exponentiations: exponent < group size.
-  const DhGroup& grp = dh_group(DhBits::k512);
-  Drbg rng(3, "bench");
-  BigInt base = grp.exp_g(grp.random_exponent(rng));
-  BigInt e(static_cast<std::uint64_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(grp.exp(base, e));
-}
-BENCHMARK(BM_ModExp512_SmallExponent)->Arg(7)->Arg(25)->Arg(50);
+  const BigInt base = g512.exp_g(g512.random_exponent(rng));
+  for (std::uint64_t small : {7, 25, 50}) {
+    const BigInt e(small);
+    row("BM_ModExp512_SmallExponent/" + std::to_string(small),
+        [&] { return g512.exp(base, e).bit_length(); });
+  }
 
-void BM_RsaSign1024(benchmark::State& state) {
   const RsaPrivateKey& key = RsaPrivateKey::test_key(0);
-  Bytes msg = str_bytes("group key agreement message");
-  for (auto _ : state) benchmark::DoNotOptimize(key.sign(msg));
-}
-BENCHMARK(BM_RsaSign1024);
+  const Bytes msg = str_bytes("group key agreement message");
+  const Bytes sig = key.sign(msg);
+  row("BM_RsaSign1024", [&] { return key.sign(msg).size(); });
+  row("BM_RsaVerify1024_E3", [&] {
+    return static_cast<std::size_t>(key.public_key().verify(msg, sig));
+  });
 
-void BM_RsaVerify1024_E3(benchmark::State& state) {
-  const RsaPrivateKey& key = RsaPrivateKey::test_key(0);
-  Bytes msg = str_bytes("group key agreement message");
-  Bytes sig = key.sign(msg);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(key.public_key().verify(msg, sig));
-}
-BENCHMARK(BM_RsaVerify1024_E3);
+  const BigInt a = g512.random_exponent(rng);
+  row("BM_ModInverseQ", [&] { return mod_inverse(a, g512.q()).bit_length(); });
 
-void BM_ModInverseQ(benchmark::State& state) {
-  const DhGroup& grp = dh_group(DhBits::k512);
-  Drbg rng(4, "bench");
-  BigInt a = grp.random_exponent(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(mod_inverse(a, grp.q()));
-}
-BENCHMARK(BM_ModInverseQ);
+  for (std::size_t len : {64, 1024, 16384}) {
+    const Bytes data(len, 0xab);
+    row("BM_Sha256/" + std::to_string(len),
+        [&] { return static_cast<std::size_t>(Sha256::digest(data)[0]); });
+  }
 
-void BM_Sha256(benchmark::State& state) {
-  Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
-  for (auto _ : state) benchmark::DoNotOptimize(Sha256::digest(data));
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+  const Bytes mac_key(32, 0x11);
+  const Bytes mac_data(1024, 0xab);
+  row("BM_HmacSha256", [&] {
+    return static_cast<std::size_t>(hmac_sha256(mac_key, mac_data)[0]);
+  });
 
-void BM_HmacSha256(benchmark::State& state) {
-  Bytes key(32, 0x11);
-  Bytes data(1024, 0xab);
-  for (auto _ : state) benchmark::DoNotOptimize(hmac_sha256(key, data));
-}
-BENCHMARK(BM_HmacSha256);
+  const Bytes aes_key(16, 0x22), iv(16, 0x33), plain(1024, 0xab);
+  row("BM_Aes128CbcEncrypt/1024",
+      [&] { return aes128_cbc_encrypt(aes_key, iv, plain).size(); });
 
-void BM_Aes128CbcEncrypt(benchmark::State& state) {
-  Bytes key(16, 0x22), iv(16, 0x33);
-  Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(aes128_cbc_encrypt(key, iv, data));
-  state.SetBytesProcessed(state.iterations() * state.range(0));
+  Drbg mr_rng(5, "bench");
+  row("BM_MillerRabin512", [&] {
+    return static_cast<std::size_t>(is_probable_prime(g512.p(), mr_rng, 8));
+  });
 }
-BENCHMARK(BM_Aes128CbcEncrypt)->Arg(1024);
-
-void BM_MillerRabin512(benchmark::State& state) {
-  Drbg rng(5, "bench");
-  const BigInt p = dh_group(DhBits::k512).p();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(is_probable_prime(p, rng, 8));
-}
-BENCHMARK(BM_MillerRabin512);
 
 }  // namespace
 }  // namespace sgk
 
-BENCHMARK_MAIN();
+int main() {
+  sgk::run_rows();
+  return 0;
+}

@@ -27,16 +27,16 @@
 //
 // Inverse rows time mod_inverse (safegcd) of a fixed input against random
 // inputs below the 160-bit subgroup order q (DhGroup::inverse_q's shape) and
-// the DH-512 and DH-1024 primes. The program always exits 0 (report only).
+// the DH-512 and DH-1024 primes. A run always exits 0 (report only); a bad
+// argument prints usage and exits 2.
 // Its header names the kernel the K = 8 and K = 16 rows ran: the
 // MULX/ADCX/ADOX routines where the CPU has BMI2 and ADX, else the portable
 // one.
 //
-// Usage: ct_leak [--samples N]   (N per class and row; default 5000)
+// Usage: ct_leak [--samples N]   (N >= 2 per class and row; default 5000)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -46,6 +46,7 @@
 #include "bignum/montgomery_adx.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
+#include "harness/bench_io.h"
 #include "obs/wallclock.h"
 
 namespace sgk {
@@ -167,14 +168,12 @@ void check_inverse(const char* name, const BigInt& m, std::size_t samples, Drbg&
 int main(int argc, char** argv) {
   std::size_t samples = 5000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc) {
-      samples = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: ct_leak [--samples N]\n");
+    if (std::strcmp(argv[i], "--samples") != 0 || i + 1 == argc ||
+        !sgk::parse_count(argv[++i], 2, samples)) {
+      std::fprintf(stderr, "usage: ct_leak [--samples N]   (N >= 2)\n");
       return 2;
     }
   }
-  if (samples < 2) samples = 2;
 
   using sgk::DhBits;
   const sgk::DhGroup& g512 = sgk::dh_group(DhBits::k512);

@@ -13,7 +13,7 @@
 //    n members re-keys. GDH's merge takes m+3 rounds so it should scale
 //    worst in rounds; BD restarts from scratch; TGDH/STR merge trees.
 //
-// Usage: ext_partition_merge [n] [--seed <n>]
+// Usage: ext_partition_merge [n >= 4] [--seed <n>]
 #include <iomanip>
 #include <iostream>
 
@@ -65,7 +65,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::size_t n = 24;
-  if (!opts.rest.empty()) n = std::stoul(opts.rest[0]);
+  // At least 4 members, so the l = n/4 split leaves neither component empty.
+  if (opts.rest.size() > 1 ||
+      (!opts.rest.empty() && !sgk::parse_count(opts.rest[0], 4, n))) {
+    std::cerr << "error: bad argument '" << opts.rest.back() << "'\n"
+              << "usage: ext_partition_merge [n >= 4] [--seed <n>]\n";
+    return 2;
+  }
   const std::uint64_t seed = opts.seed_set ? opts.seed : 11;
   sgk::run(n, seed);
   std::cout << "\nSame experiment on the WAN testbed (13 machines; the split "

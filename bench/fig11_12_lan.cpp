@@ -61,16 +61,25 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::size_t max_size = 50;
-  int seeds = 3;
+  std::size_t seeds = 3;
   std::string csv_prefix;
   for (std::size_t i = 0; i < opts.rest.size(); ++i) {
+    bool ok = true;
     if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
       csv_prefix = opts.rest[++i];
     } else if (kFigure.seeds_flag && opts.rest[i] == "--seeds" &&
                i + 1 < opts.rest.size()) {
-      seeds = std::stoi(opts.rest[++i]);
+      ok = sgk::parse_count(opts.rest[++i], 1, seeds);
     } else {
-      max_size = static_cast<std::size_t>(std::stoul(opts.rest[i]));
+      ok = sgk::parse_count(opts.rest[i], 2, max_size);
+    }
+    if (!ok) {
+      std::cerr << "error: bad argument '" << opts.rest[i] << "'\n"
+                << "usage: " << kFigure.bench << " [max_size >= 2]"
+                << (kFigure.seeds_flag ? " [--seeds k >= 1]" : "")
+                << " [--csv out_prefix]\n"
+                   "       [--json out.json] [--trace out.trace.json]\n";
+      return 2;
     }
   }
 
@@ -93,7 +102,7 @@ int main(int argc, char** argv) {
     sgk::SweepConfig cfg;
     cfg.dh_bits = bits;
     cfg.max_size = max_size;
-    if (kFigure.seeds_flag) cfg.seeds = seeds;
+    if (kFigure.seeds_flag) cfg.seeds = static_cast<int>(seeds);
     cfg.seed_base = opts.seed;
     sgk::SweepResult result = kFigure.sweep(cfg);
     sgk::print_sweep_table(std::cout,

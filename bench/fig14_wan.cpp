@@ -54,8 +54,12 @@ int main(int argc, char** argv) {
       topology_only = true;
     } else if (opts.rest[i] == "--dh1024") {
       dh1024 = true;
-    } else {
-      max_size = static_cast<std::size_t>(std::stoul(opts.rest[i]));
+    } else if (!sgk::parse_count(opts.rest[i], 2, max_size)) {
+      std::cerr << "error: bad argument '" << opts.rest[i] << "'\n"
+                << "usage: fig14_wan [max_size >= 2] [--csv out_prefix] "
+                   "[--topology] [--dh1024]\n"
+                   "       [--json out.json] [--trace out.trace.json]\n";
+      return 2;
     }
   }
 

@@ -35,16 +35,14 @@ int main(int argc, char** argv) {
       kind = named.front();
       continue;
     }
-    // Otherwise a group size of at most 9 digits (so stoul cannot throw).
-    if (arg.empty() || arg.size() > 9 ||
-        arg.find_first_not_of("0123456789") != std::string::npos) {
+    // Otherwise a group size.
+    if (!sgk::parse_count(arg, 0, n)) {
       std::cerr << "error: '" << arg << "' is neither one protocol nor a group size\n"
                 << "usage: trace_membership [protocol] [n] [--json out.json]\n"
                    "                        [--trace out.trace.json] [--wallclock]\n"
                    "       protocol: GDH | CKD | TGDH | TGDH-bal | STR | BD, any case\n";
       return 2;
     }
-    n = static_cast<std::size_t>(std::stoul(arg));
   }
   if (n < 2) {
     std::cerr << "error: n must be at least 2\n";

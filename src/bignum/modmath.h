@@ -23,9 +23,6 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m);
 /// even-modulus path of mod_inverse, and the tests' reference.
 BigInt mod_inverse_euclid(const BigInt& a, const BigInt& m);
 
-/// (a * b) mod m.
-BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
-
 /// (a + b) mod m, with a, b already reduced.
 BigInt mod_add(const BigInt& a, const BigInt& b, const BigInt& m);
 

@@ -22,7 +22,7 @@ WireFault FaultInjector::on_daemon_copy(int from_machine, int to_machine,
                                         std::uint64_t seq) {
   ++stats_.daemon_copies;
   const WireFault f = plan_.daemon_copy_fault(from_machine, to_machine, seq);
-  if (f.extra_delay_ms >= plan_.rates().retrans_ms) ++stats_.dropped;
+  if (f.extra_delay_ms >= kRetransMs) ++stats_.dropped;
   else if (f.extra_delay_ms > 0) ++stats_.delayed;
   if (f.copies > 1) ++stats_.duplicated;
   return f;

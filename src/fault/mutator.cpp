@@ -11,6 +11,9 @@ namespace {
 // Salt space continues the FaultPlan convention (0x01..0x04 taken).
 constexpr std::uint64_t kMutateSalt = 0x05;
 
+// Capacity of the replay capture ring.
+constexpr std::size_t kHistory = 32;
+
 // Frame layout offsets (see secure_group framing).
 constexpr std::size_t kEpochOff = 1;
 constexpr std::size_t kSenderOff = 9;
@@ -210,13 +213,11 @@ bool FrameMutator::apply(MutationKind kind, Bytes& wire, std::uint64_t unit) {
 
 MutationKind FrameMutator::mutate(Bytes& wire, std::uint64_t unit) {
   // Capture pristine traffic for later replay regardless of the verdict.
-  if (opts_.history > 0) {
-    if (history_.size() < opts_.history) {
-      history_.push_back(wire);
-    } else {
-      history_[history_next_] = wire;
-      history_next_ = (history_next_ + 1) % opts_.history;
-    }
+  if (history_.size() < kHistory) {
+    history_.push_back(wire);
+  } else {
+    history_[history_next_] = wire;
+    history_next_ = (history_next_ + 1) % kHistory;
   }
   if (fault_unit(seed_, kMutateSalt, unit, 0) >= opts_.rate)
     return MutationKind::kNone;

@@ -42,8 +42,6 @@ class FrameMutator {
     bool detectable_only = false;
     /// Byte width of the DH modulus (locates group elements in bodies).
     std::size_t modulus_bytes = 64;
-    /// Capacity of the replay capture ring.
-    std::size_t history = 32;
   };
 
   FrameMutator(std::uint64_t seed, Options opts)

@@ -1,7 +1,5 @@
 #include "fault/plan.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace sgk::fault {
@@ -58,66 +56,6 @@ void FaultPlan::randomize(int events, double start_ms, double min_gap_ms,
   if (partitioned) ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
 }
 
-namespace {
-// Von Neumann's exponential sampler: Exp(1) drawn from uniforms with only
-// comparisons and additions, so storm schedules stay bit-identical on every
-// platform (no libm log(), whose last-ulp behavior varies by implementation).
-// Draw a descending run U1 > U2 > ... > Un with U(n+1) ending it; an
-// odd-length run accepts X = whole + U1, an even one adds 1 and retries.
-double next_exponential(FaultRng& rng) {
-  double whole = 0.0;
-  for (;;) {
-    const double first = rng.next_unit();
-    double prev = first;
-    std::uint64_t run = 1;
-    for (;;) {
-      const double next = rng.next_unit();
-      if (next >= prev) break;
-      prev = next;
-      ++run;
-    }
-    if (run % 2 == 1) return whole + first;
-    whole += 1.0;
-  }
-}
-}  // namespace
-
-void FaultPlan::poisson_storm(int events, double start_ms, double mean_gap_ms) {
-  SGK_CHECK(events >= 0);
-  SGK_CHECK(start_ms >= 0.0 && mean_gap_ms > 0.0);
-  // Disjoint stream from randomize(): composing both on one plan keeps each
-  // schedule independent of the other's draw count.
-  FaultRng rng(seed_ ^ 0x9e6c63d0a52ac3f1ULL);
-  double t = start_ms;
-  bool partitioned = false;
-  for (int i = 0; i < events; ++i) {
-    // Join/leave dominate — a memoryless churn storm is membership traffic,
-    // not topology traffic — with enough partition/heal and rekey seasoning
-    // that batches form mid-split and forced refreshes land inside windows.
-    const double pick = rng.next_unit();
-    ChurnKind kind;
-    if (pick < 0.45) {
-      kind = ChurnKind::kJoin;
-    } else if (pick < 0.80) {
-      kind = ChurnKind::kLeave;
-    } else if (pick < 0.88) {
-      kind = ChurnKind::kCrash;
-    } else if (pick < 0.95) {
-      kind = partitioned ? ChurnKind::kHeal : ChurnKind::kPartition;
-    } else {
-      kind = ChurnKind::kRekey;
-    }
-    if (kind == ChurnKind::kPartition) partitioned = true;
-    if (kind == ChurnKind::kHeal) partitioned = false;
-    ops_.push_back(ChurnOp{t, kind, rng.next_u64()});
-    // Clamp the exponential tail (P(X > 16) ~ 1e-7) so one outlier draw
-    // cannot stretch a bounded-horizon harness past its deadline.
-    const double gap = std::min(next_exponential(rng), 16.0) * mean_gap_ms;
-    t += gap;
-  }
-  if (partitioned) ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
-}
-
 void FaultPlan::bursty_storm(int bursts, int burst_size, double start_ms,
                              double intra_gap_ms, double idle_gap_ms) {
   SGK_CHECK(bursts >= 0 && burst_size >= 1);
@@ -162,6 +100,8 @@ constexpr std::uint64_t kDupSalt = 0x03;
 constexpr std::uint64_t kJitterSalt = 0x04;
 constexpr std::uint64_t kUnicastSpace = 0x8000000000000000ULL;
 
+constexpr double kJitterMs = 1.5;  // max jitter magnitude of a delayed copy
+
 std::uint64_t pair_key(std::uint64_t a, std::uint64_t b) {
   return (a << 32) ^ b;
 }
@@ -173,10 +113,9 @@ WireFault FaultPlan::daemon_copy_fault(int from_machine, int to_machine,
                                       static_cast<std::uint64_t>(to_machine));
   WireFault f;
   if (fault_unit(seed_, link, seq, kDropSalt) < rates_.drop)
-    f.extra_delay_ms += rates_.retrans_ms;
+    f.extra_delay_ms += kRetransMs;
   if (fault_unit(seed_, link, seq, kDelaySalt) < rates_.delay)
-    f.extra_delay_ms +=
-        rates_.delay_ms * fault_unit(seed_, link, seq, kJitterSalt);
+    f.extra_delay_ms += kJitterMs * fault_unit(seed_, link, seq, kJitterSalt);
   if (fault_unit(seed_, link, seq, kDupSalt) < rates_.duplicate) f.copies = 2;
   return f;
 }
@@ -186,10 +125,9 @@ WireFault FaultPlan::unicast_fault(ProcessId from, ProcessId to,
   const std::uint64_t link = kUnicastSpace | pair_key(from, to);
   WireFault f;
   if (fault_unit(seed_, link, nth, kDropSalt) < rates_.drop)
-    f.extra_delay_ms += rates_.retrans_ms;
+    f.extra_delay_ms += kRetransMs;
   if (fault_unit(seed_, link, nth, kDelaySalt) < rates_.delay)
-    f.extra_delay_ms +=
-        rates_.delay_ms * fault_unit(seed_, link, nth, kJitterSalt);
+    f.extra_delay_ms += kJitterMs * fault_unit(seed_, link, nth, kJitterSalt);
   return f;
 }
 

@@ -25,13 +25,14 @@
 
 namespace sgk::fault {
 
-/// Per-copy wire fault probabilities and magnitudes.
+/// Retransmission timeout charged to a dropped copy (virtual ms).
+inline constexpr double kRetransMs = 6.0;
+
+/// Per-copy wire fault probabilities.
 struct FaultRates {
-  double drop = 0.0;       // P(copy lost once -> retransmitted after retrans_ms)
-  double delay = 0.0;      // P(copy jittered by up to delay_ms)
+  double drop = 0.0;       // P(copy lost once -> retransmitted after kRetransMs)
+  double delay = 0.0;      // P(copy jittered by up to kJitterMs, plan.cpp)
   double duplicate = 0.0;  // P(daemon copy delivered twice)
-  double delay_ms = 1.5;   // max jitter magnitude
-  double retrans_ms = 6.0; // retransmission timeout charged to a dropped copy
 
   /// Uniform profile: drop = delay = duplicate = rate.
   static FaultRates uniform(double rate) {
@@ -81,14 +82,6 @@ class FaultPlan {
   /// Deterministic in (seed, arguments).
   void randomize(int events, double start_ms, double min_gap_ms,
                  double max_gap_ms);
-
-  /// Poisson storm: `events` ops starting at `start_ms` with exponentially
-  /// distributed inter-arrival gaps of mean `mean_gap_ms` — the classic
-  /// memoryless churn model, whose clustering (many gaps far below the
-  /// mean) is what exercises an adaptive batching window. Join/leave-heavy
-  /// mix (partitions/heals season it), always ends healed. Deterministic in
-  /// (seed, arguments); uses a stream disjoint from randomize()'s.
-  void poisson_storm(int events, double start_ms, double mean_gap_ms);
 
   /// Bursty storm: `bursts` clusters of `burst_size` ops each; ops inside a
   /// burst are `intra_gap_ms` apart (well inside one batching window), and

@@ -14,6 +14,17 @@
 namespace sgk {
 
 namespace {
+// Base virtual-time delay between a recoverable frame rejection and the
+// rekey request it triggers when the agreement is still stuck (quarantine
+// policy; rate-limited to one recovery per epoch). The FIRST recovery of a
+// convergence episode waits exactly this long; consecutive failed recoveries
+// back off exponentially with seeded jitter (see recovery_backoff_ms) up to
+// kRecoveryBackoffCapMs.
+constexpr double kRecoveryDelayMs = 20.0;
+// Upper bound for the deterministic part of both backoff schedules (virtual
+// ms). Jitter of up to 25% rides on top, so the true ceiling is 1.25x this.
+constexpr double kRecoveryBackoffCapMs = 2000.0;
+
 const RsaPrivateKey& default_rsa(ProcessId self) {
   return RsaPrivateKey::test_key(static_cast<int>(self % 4));
 }
@@ -54,7 +65,7 @@ SecureGroupMember::SecureGroupMember(SpreadNetwork& net, ProcessId self,
       pki_(std::move(pki)),
       config_(std::move(config)),
       crypto_(dh_group(config_.dh_bits),
-              config_.rsa ? *config_.rsa : default_rsa(self),
+              default_rsa(self),
               config_.cost,
               Drbg(config_.seed * 0x9e3779b97f4a7c15ULL + self, "member"),
               config_.signature) {
@@ -252,9 +263,9 @@ void SecureGroupMember::on_view(const std::string& group, const View& view,
     // (streak resets on key install), so a long corruption storm costs
     // O(log) rekeys instead of one per fixed deadline while the chain stays
     // budget-exempt and therefore can never wedge.
-    const double deadline = recovery_backoff_ms(
-        config_.recovery_watchdog_ms, config_.recovery_backoff_cap_ms,
-        watchdog_streak_, config_.seed, self_, epoch);
+    const double deadline =
+        recovery_backoff_ms(config_.recovery_watchdog_ms, kRecoveryBackoffCapMs,
+                            watchdog_streak_, config_.seed, self_, epoch);
     net_.simulator().after(deadline, [this, alive = alive_, epoch] {
       if (!*alive || epoch_ != epoch) return;
       if (!protocol_->in_flight()) return;
@@ -351,7 +362,7 @@ void SecureGroupMember::schedule_recovery() {
   // own; if it is still in flight at this epoch, request a rekey. One
   // recovery per epoch: the rekey changes the epoch, so a repeat at the same
   // epoch means this recovery is already pending. The delay starts at
-  // recovery_delay_ms and backs off exponentially (with seeded jitter)
+  // kRecoveryDelayMs and backs off exponentially (with seeded jitter)
   // across the consecutive failed recoveries of one convergence episode, so
   // a group fighting a persistent corruptor spaces its rekey storm out
   // instead of burning the whole 8-attempt budget at a fixed cadence.
@@ -359,7 +370,7 @@ void SecureGroupMember::schedule_recovery() {
   last_recovery_epoch_ = epoch_;
   const std::uint64_t epoch = epoch_;
   const double delay =
-      recovery_backoff_ms(config_.recovery_delay_ms, config_.recovery_backoff_cap_ms,
+      recovery_backoff_ms(kRecoveryDelayMs, kRecoveryBackoffCapMs,
                           recovery_attempts_, config_.seed, self_, epoch);
   net_.simulator().after(delay, [this, alive = alive_, epoch] {
     if (!*alive || epoch_ != epoch) return;

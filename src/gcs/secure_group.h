@@ -70,7 +70,6 @@ struct MemberConfig {
   ProtocolKind protocol = ProtocolKind::kTgdh;
   DhBits dh_bits = DhBits::k512;
   CostModel cost = CostModel::paper2002();
-  const RsaPrivateKey* rsa = nullptr;  // defaults to a fixed test key
   std::uint64_t seed = 1;
   /// Blinded-key re-computation in TGDH/STR (see ProtocolHost).
   bool key_confirmation = true;
@@ -81,30 +80,20 @@ struct MemberConfig {
   /// harnesses that study what strict structural validation alone catches;
   /// loopback integrity and all semantic checks stay on.
   bool verify_signatures = true;
-  /// Base virtual-time delay between a recoverable frame rejection and the
-  /// rekey request it triggers when the agreement is still stuck (quarantine
-  /// policy; rate-limited to one recovery per epoch). The FIRST recovery of
-  /// a convergence episode waits exactly this long; consecutive failed
-  /// recoveries back off exponentially with seeded jitter (see
-  /// recovery_backoff_ms) up to recovery_backoff_cap_ms.
-  double recovery_delay_ms = 20.0;
   /// When > 0, an agreement still in flight this long (virtual ms) after its
   /// view installed triggers a rekey request — the backstop for frames an
   /// adversary erased outright, which produce no rejection at the members
   /// that needed them. 0 disables the watchdog. Like the reject path, the
   /// watchdog's retry chain backs off exponentially across consecutive
-  /// unkeyed fires (streak resets on every key install).
+  /// unkeyed fires (streak resets on every key install), up to the same cap
+  /// (kRecoveryBackoffCapMs, secure_group.cpp).
   double recovery_watchdog_ms = 0.0;
-  /// Upper bound for the deterministic part of both backoff schedules
-  /// (virtual ms). Jitter of up to 25% rides on top, so the true ceiling is
-  /// 1.25x this. <= 0 disables the cap (pure exponential growth).
-  double recovery_backoff_cap_ms = 2000.0;
 };
 
 /// Deterministic backoff schedule shared by the reject-path recovery and the
 /// watchdog retry chain: min(base * 2^attempt, cap), plus up to 25% seeded
-/// jitter for attempt >= 1 (attempt 0 keeps the exact legacy delay). The
-/// jitter draw is fault_unit(seed, self, epoch, attempt) — stateless and
+/// jitter for attempt >= 1 (attempt 0 keeps the exact legacy delay). A cap
+/// <= 0 disables the cap (pure exponential growth). The jitter draw is fault_unit(seed, self, epoch, attempt) — stateless and
 /// order-independent, so two members with the same config desynchronize
 /// their retry storms identically on every replay of the same seed.
 double recovery_backoff_ms(double base_ms, double cap_ms, int attempt,
@@ -241,7 +230,7 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   /// Counts a typed rejection (total, per-reason counter, wire-size
   /// histogram) and, when `recoverable`, invokes the quarantine policy.
   void reject_frame(RejectReason reason, std::size_t wire_size, bool recoverable);
-  /// Quarantine policy: after recovery_delay_ms of virtual time, if this
+  /// Quarantine policy: after kRecoveryDelayMs of virtual time, if this
   /// epoch's agreement is still stuck, request a rekey (once per epoch).
   void schedule_recovery();
 

@@ -50,16 +50,12 @@ class GroupClient {
                           const Bytes& payload) = 0;
 };
 
-/// Protocol/transport tunables. Defaults calibrated so the LAN testbed
-/// reproduces the paper's measured primitives (section 6.1.1).
+/// Per-network settings. The daemon costs calibrated so the LAN testbed
+/// reproduces the paper's measured primitives (section 6.1.1) are constants
+/// of spread.cpp.
 struct SpreadParams {
-  // Tunables fixed at network construction; read-only during the run.
+  // Fixed at network construction; read-only during the run.
   SGK_CONFINED_TO_RUN;
-  double hop_process_ms = 0.06;   // daemon token handling per hop
-  double stamp_ms = 0.04;         // sequencing cost per stamped message
-  double deliver_ms = 0.08;       // daemon-to-client delivery overhead
-  double membership_rounds = 2.0; // token cycles consumed by the membership protocol
-  double membership_base_ms = 1.0;
   /// First ProcessId this network hands out. A multi-group server gives each
   /// group's network a disjoint id block so process ids are globally unique
   /// and structures shared across groups (the Pki, aggregate stats) can key

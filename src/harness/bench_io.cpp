@@ -201,6 +201,17 @@ std::string lower_name(ProtocolKind kind) {
   return s;
 }
 
+bool parse_count(const std::string& text, std::size_t min, std::size_t& out) {
+  // At most 9 digits, so the value fits and std::stoul cannot throw.
+  if (text.empty() || text.size() > 9 ||
+      text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  const std::size_t value = std::stoul(text);
+  if (value < min) return false;
+  out = value;
+  return true;
+}
+
 std::vector<int> parse_scale(const std::string& list) {
   std::vector<int> out;
   std::stringstream ss(list);

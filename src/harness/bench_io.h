@@ -103,6 +103,11 @@ bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
 /// Lower-case protocol name, as parse_protocols accepts it (repro lines).
 std::string lower_name(ProtocolKind kind);
 
+/// Parses a count given on the command line: 1 to 9 decimal digits and
+/// nothing else (no sign, no trailing characters), with a value of at least
+/// `min`. Returns false and leaves `out` untouched otherwise.
+bool parse_count(const std::string& text, std::size_t min, std::size_t& out);
+
 /// Parses a --scale value: comma-separated worker-thread counts, each >= 1.
 /// Throws std::runtime_error for an empty list or a count below 1.
 std::vector<int> parse_scale(const std::string& list);

@@ -11,6 +11,16 @@
 namespace sgk::server {
 namespace {
 
+// First churn op fires this long after onboarding begins (the chaos
+// harness's tested regime: late enough for the initial join burst to be in
+// flight, short enough that ops still land inside agreements).
+constexpr double kChurnStartMs = 50.0;
+constexpr double kMinGapMs = 5.0;  // kUniform: churn inter-op gap bounds
+constexpr double kMaxGapMs = 40.0;
+constexpr double kIntraGapMs = 1.0;   // kBursty: gap inside a burst
+constexpr double kIdleGapMs = 400.0;  // kBursty: quiet stretch between bursts
+constexpr double kGraceMs = 30000.0;  // liveness bound past the last churn op
+
 // The group's seeded churn plan, derived purely from its spec.
 fault::FaultPlan build_group_plan(const GroupSpec& spec) {
   fault::FaultPlan plan(spec.seed, spec.rates);
@@ -19,24 +29,19 @@ fault::FaultPlan build_group_plan(const GroupSpec& spec) {
       plan.script(spec.onboard_at_ms + op.at_ms, op.kind, op.arg);
     return plan;
   }
-  // Churn starts churn_start_ms after onboarding so the first op routinely
+  // Churn starts kChurnStartMs after onboarding so the first op routinely
   // lands inside an in-flight agreement — the cascaded regime, per group.
-  const double start = spec.onboard_at_ms + spec.churn_start_ms;
+  const double start = spec.onboard_at_ms + kChurnStartMs;
   switch (spec.storm) {
     case StormKind::kUniform:
-      plan.randomize(spec.churn_events, start, spec.min_gap_ms,
-                     spec.max_gap_ms);
-      break;
-    case StormKind::kPoisson:
-      plan.poisson_storm(spec.churn_events, start, spec.mean_gap_ms);
+      plan.randomize(spec.churn_events, start, kMinGapMs, kMaxGapMs);
       break;
     case StormKind::kBursty: {
       // churn_events stays the total event budget across storm shapes, so
       // the batched/unbatched comparison holds workload size constant.
       const int size = std::max(1, spec.burst_size);
       const int bursts = std::max(1, spec.churn_events / size);
-      plan.bursty_storm(bursts, size, start, spec.intra_gap_ms,
-                        spec.idle_gap_ms);
+      plan.bursty_storm(bursts, size, start, kIntraGapMs, kIdleGapMs);
       break;
     }
   }
@@ -51,8 +56,7 @@ double plan_last_op_ms(const GroupSpec& spec, const fault::FaultPlan& plan) {
 
 // Liveness bound over a built plan: last churn op + grace.
 double plan_deadline_ms(const GroupSpec& spec, const fault::FaultPlan& plan) {
-  return std::max(plan_last_op_ms(spec, plan), spec.onboard_at_ms) +
-         spec.grace_ms;
+  return std::max(plan_last_op_ms(spec, plan), spec.onboard_at_ms) + kGraceMs;
 }
 
 }  // namespace
@@ -137,7 +141,7 @@ GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
     if (forced_ && sim_.pending() > 0) {
       checker_.flag_timeout(spec_.name + " still active at deadline (last op " +
                             std::to_string(last_op_ms_) + "ms + grace " +
-                            std::to_string(spec_.grace_ms) + "ms)");
+                            std::to_string(kGraceMs) + "ms)");
     }
     std::vector<fault::KeyProbe> probes;
     for (const auto& m : members_) {
@@ -255,7 +259,6 @@ SecureGroupMember& GroupHost::spawn() {
   cfg.seed = spec_.seed;
   cfg.verify_signatures = spec_.verify_signatures;
   cfg.recovery_watchdog_ms = spec_.recovery_watchdog_ms;
-  cfg.recovery_backoff_cap_ms = spec_.recovery_backoff_cap_ms;
   auto member = std::make_unique<SecureGroupMember>(net_, pid, pki_, cfg);
   SecureGroupMember* mp = member.get();
   member->set_key_listener([this, mp, pid](SimTime t, std::uint64_t epoch) {

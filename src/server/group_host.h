@@ -41,8 +41,7 @@ using GroupId = std::uint32_t;
 
 /// Shape of a group's churn schedule (see fault::FaultPlan).
 enum class StormKind {
-  kUniform,  // randomize(): uniform gaps in [min_gap_ms, max_gap_ms]
-  kPoisson,  // poisson_storm(): exponential gaps of mean mean_gap_ms
+  kUniform,  // randomize(): uniform gaps in [kMinGapMs, kMaxGapMs]
   kBursty,   // bursty_storm(): tight bursts separated by idle stretches
 };
 
@@ -63,26 +62,16 @@ struct GroupSpec {
   double onboard_at_ms = 0.0;  // virtual time the group's members start joining
   std::uint64_t seed = 1;      // per-group schedule + DRBG seed
   fault::FaultRates rates;     // wire-fault rates for this group's network
-  /// First churn op fires this long after onboarding begins (the chaos
-  /// harness's tested regime: late enough for the initial join burst to be
-  /// in flight, short enough that ops still land inside agreements).
-  double churn_start_ms = 50.0;
-  double min_gap_ms = 5.0;     // churn inter-op gap bounds
-  double max_gap_ms = 40.0;
-  double grace_ms = 30000.0;   // liveness bound past the last churn op
   /// Per-member recovery watchdog (gcs/secure_group.h): a member whose
   /// agreement outlives this window requests a quarantine rekey instead of
   /// wedging forever. A long-lived server arms it by default — at thousands
   /// of groups, rare per-group liveness corners become routine events.
   double recovery_watchdog_ms = 5000.0;
-  /// Ceiling for the recovery/watchdog exponential backoff (MemberConfig).
-  double recovery_backoff_cap_ms = 2000.0;
   /// Churn schedule shape; kUniform reproduces the pre-storm plans exactly.
+  /// Its gaps, start offset and the grace past the last op are constants of
+  /// group_host.cpp.
   StormKind storm = StormKind::kUniform;
-  double mean_gap_ms = 10.0;   // kPoisson: mean inter-event gap
   int burst_size = 8;          // kBursty: events per burst
-  double intra_gap_ms = 1.0;   // kBursty: gap inside a burst
-  double idle_gap_ms = 400.0;  // kBursty: quiet stretch between bursts
   /// Rekey batching for this group's network (disabled by default — every
   /// membership event rekeys immediately, the legacy behavior).
   BatchConfig batch;

@@ -13,6 +13,12 @@
 #include "util/check.h"
 
 namespace sgk::server {
+namespace {
+
+// Machines in every group's (private) LAN topology.
+constexpr int kMachinesPerGroup = 4;
+
+}  // namespace
 
 GroupServer::GroupServer(ServerConfig config)
     : config_(std::move(config)), pki_(std::make_shared<Pki>()) {
@@ -37,14 +43,8 @@ GroupSpec GroupServer::spec_for(GroupId gid) const {
   // Independent per-group schedule/DRBG stream, order-free in gid.
   spec.seed = fault::fault_hash(config_.seed, gid, 0x5eedULL, 1);
   spec.rates = config_.rates;
-  spec.min_gap_ms = config_.min_gap_ms;
-  spec.max_gap_ms = config_.max_gap_ms;
-  spec.grace_ms = config_.grace_ms;
   spec.storm = config_.storm;
-  spec.mean_gap_ms = config_.mean_gap_ms;
   spec.burst_size = config_.burst_size;
-  spec.intra_gap_ms = config_.intra_gap_ms;
-  spec.idle_gap_ms = config_.idle_gap_ms;
   spec.batch = config_.batch;
   return spec;
 }
@@ -63,7 +63,7 @@ ServerResult GroupServer::run() {
   }
   hosts_.resize(n);  // each epoch, a slot belongs to the worker that claimed it
 
-  const Topology topo = lan_testbed(config_.machines_per_group);
+  const Topology topo = lan_testbed(kMachinesPerGroup);
   ShardExecutor exec(config_.threads);
 
   ServerResult result;

@@ -52,20 +52,12 @@ struct ServerConfig {
                                          ProtocolKind::kStr,
                                          ProtocolKind::kBd};
   DhBits dh_bits = DhBits::k512;
-  /// Machines in every group's (private) LAN topology.
-  int machines_per_group = 4;
   /// Wire-fault rates applied inside every group's network.
   fault::FaultRates rates;
-  double min_gap_ms = 5.0;
-  double max_gap_ms = 40.0;
-  double grace_ms = 30000.0;
   /// Churn schedule shape for every group (kUniform = legacy plans) and the
-  /// storm parameters the non-uniform shapes read (GroupSpec docs).
+  /// burst size the bursty shape reads (GroupSpec docs).
   StormKind storm = StormKind::kUniform;
-  double mean_gap_ms = 10.0;
   int burst_size = 8;
-  double intra_gap_ms = 1.0;
-  double idle_gap_ms = 400.0;
   /// Rekey batching applied to every group's network (default disabled).
   BatchConfig batch;
   /// Also fold each group's registry under a "group/<name>/" metric prefix

@@ -113,7 +113,7 @@ TEST(FaultPlan, FullRatesDropDelayAndDuplicateEveryCopy) {
   for (std::uint64_t seq = 0; seq < 100; ++seq) {
     const WireFault f = plan.daemon_copy_fault(0, 1, seq);
     // A drop is charged as a retransmission timeout, never silent loss.
-    EXPECT_GE(f.extra_delay_ms, rates.retrans_ms);
+    EXPECT_GE(f.extra_delay_ms, kRetransMs);
     EXPECT_EQ(f.copies, 2);
   }
 }
