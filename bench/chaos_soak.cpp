@@ -13,14 +13,11 @@
 //
 // Each failing run prints a one-line repro command; re-running it replays
 // the identical schedule (the whole run is a pure function of the flags).
-//
-// Usage: chaos_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
-//                   [--fault-rate R] [--group-size N] [--events N]
-//                   [--seed BASE] [--json out.json] [--trace out.trace.json]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +30,12 @@ using sgk::lower_name;
 using sgk::parse_protocols;
 using sgk::take_flag;
 
+constexpr const char* kUsage =
+    "usage: chaos_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N >= 1]\n"
+    "                  [--fault-rate R in [0,1]] [--group-size N >= 2]\n"
+    "                  [--events N] [--seed BASE] [--json out.json]\n"
+    "                  [--trace out.trace.json]\n";
+
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
   std::string err;
@@ -43,39 +46,32 @@ int main(int argc, char** argv) {
 
   std::vector<ProtocolKind> protocols;
   parse_protocols("all", protocols);
-  int seeds = 16;
+  std::size_t seeds = 16;
   double fault_rate = 0.1;
   std::size_t group_size = 8;
-  int events = 6;
+  std::size_t events = 6;
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
+      bool ok = true;
       if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
+        ok = parse_protocols(value, protocols);
       } else if (take_flag(opts.rest, i, "--seeds", value)) {
-        seeds = std::stoi(value);
+        ok = sgk::parse_count(value, 1, seeds);
       } else if (take_flag(opts.rest, i, "--fault-rate", value)) {
-        fault_rate = std::stod(value);
+        ok = sgk::parse_real(value, fault_rate) && fault_rate >= 0.0 &&
+             fault_rate <= 1.0;
       } else if (take_flag(opts.rest, i, "--group-size", value)) {
-        group_size = std::stoul(value);
+        ok = sgk::parse_count(value, 2, group_size);
       } else if (take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
+        ok = sgk::parse_count(value, 0, events);
       } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
+        ok = false;
       }
+      if (!ok) throw std::runtime_error("bad argument '" + opts.rest[i] + "'");
     }
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (seeds < 1 || events < 0 || group_size < 2 || fault_rate < 0.0 ||
-      fault_rate > 1.0) {
-    std::cerr << "error: need --seeds >= 1, --events >= 0, --group-size >= 2, "
-                 "--fault-rate in [0,1]\n";
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
     return 2;
   }
 
@@ -93,19 +89,18 @@ int main(int argc, char** argv) {
 
   int total_runs = 0, failures = 0;
   sgk::obs::Json chaos = sgk::obs::Json::object();
-  sgk::obs::Json table = sgk::obs::Json::array();
   for (ProtocolKind kind : protocols) {
     const char* proto = sgk::to_string(kind);
     std::vector<double> converge_ms;
     std::uint64_t restarts = 0, stale = 0, churn = 0;
     int converged = 0;
-    for (int s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = opts.seed + static_cast<std::uint64_t>(s);
+    for (std::size_t s = 0; s < seeds; ++s) {
+      const std::uint64_t seed = opts.seed + s;
       sgk::server::GroupSpec spec;
       spec.protocol = kind;
       spec.seed = seed;
       spec.initial_size = group_size;
-      spec.churn_events = events;
+      spec.churn_events = static_cast<int>(events);
       spec.rates = sgk::fault::FaultRates::uniform(fault_rate);
       // Members keep their default: no recovery watchdog, so convergence
       // comes from the protocols and the membership service alone.
@@ -151,22 +146,13 @@ int main(int argc, char** argv) {
     entry.set("restarts", sgk::obs::Json(restarts));
     entry.set("stale_dropped", sgk::obs::Json(stale));
     entry.set("churn_applied", sgk::obs::Json(churn));
-    const double median_ms = sgk::obs::sample_quantile(converge_ms, 0.5);
-    entry.set("convergence_median_ms", sgk::obs::Json(median_ms));
+    entry.set("convergence_median_ms",
+              sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.5)));
     entry.set("convergence_p95_ms",
               sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.95)));
     chaos.set(proto, std::move(entry));
-
-    // "table" rows feed the CI gate (tools/bench_gate): the median
-    // convergence time per protocol is the watched trajectory cell.
-    sgk::obs::Json row = sgk::obs::Json::object();
-    row.set("protocol", sgk::obs::Json(proto));
-    row.set("event", sgk::obs::Json("chaos_converge"));
-    row.set("elapsed_ms", sgk::obs::Json(median_ms));
-    table.push(std::move(row));
   }
   report.add_section("chaos", std::move(chaos));
-  report.add_section("table", std::move(table));
 
   std::cout << "\nchaos_soak: " << total_runs << " runs, "
             << total_runs - failures << " converged, " << failures

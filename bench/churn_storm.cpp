@@ -10,8 +10,8 @@
 // The bench enforces the robustness acceptance criteria itself: every group
 // must converge in BOTH modes, batched rekeys_per_event must stay below
 // 0.5, and the batched p99 must be strictly lower than the unbatched p99 —
-// any miss fails the exit code, so CI catches a regressed pipeline even
-// before the perf gate compares numbers.
+// any miss fails the exit code, so a regressed pipeline fails on its own,
+// before CI compares the report with its committed baseline.
 //
 // Unless --threads pins a single count, both modes sweep --scale (default
 // 1,2,4) over the same scenario and verify that every run's canonical JSON
@@ -19,19 +19,12 @@
 // runs inside the bench on every invocation, exactly like bench/multi_group.
 //
 // The report carries one ServerResult document per mode under the
-// "churn_storm" section and stamps schema sgk-bench/3 (the batch payload);
-// tools/bench_gate watches the per-mode aggregate/batch cells plus the
-// "table" rows emitted here.
-//
-// Usage: churn_storm [--groups N] [--members N] [--events N] [--burst N]
-//                    [--window-min MS] [--window-max MS] [--budget MS]
-//                    [--protocol all|gdh|ckd|tgdh|str|bd] [--scale 1,2,4]
-//                    [--threads N] [--seed BASE] [--json out.json]
-//                    [--trace out.trace.json] [--wallclock]
+// "churn_storm" section and stamps schema sgk-bench/3 (the batch payload).
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,6 +47,15 @@ struct ModeOutcome {
   sgk::ThreadSweep sweep;
 };
 
+constexpr const char* kUsage =
+    "usage: churn_storm [--groups N >= 1] [--members N >= 2]\n"
+    "                   [--events N >= 1] [--burst N >= 1]\n"
+    "                   [--window-min MS >= 0] [--window-max MS >= min]\n"
+    "                   [--budget MS] [--protocol all|gdh|ckd|tgdh|str|bd]\n"
+    "                   [--scale 1,2,4] [--threads N] [--seed BASE]\n"
+    "                   [--json out.json] [--trace out.trace.json]\n"
+    "                   [--wallclock]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,8 +68,8 @@ int main(int argc, char** argv) {
 
   std::size_t groups = 30;
   std::size_t members = 5;
-  int events = 24;
-  int burst = 6;
+  std::size_t events = 24;
+  std::size_t burst = 6;
   double window_min_ms = 4.0;
   double window_max_ms = 256.0;
   double budget_ms = 3000.0;
@@ -78,41 +80,35 @@ int main(int argc, char** argv) {
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
+      bool ok = true;
       if (take_flag(opts.rest, i, "--groups", value)) {
-        groups = std::stoul(value);
+        ok = sgk::parse_count(value, 1, groups);
       } else if (take_flag(opts.rest, i, "--members", value)) {
-        members = std::stoul(value);
+        ok = sgk::parse_count(value, 2, members);
       } else if (take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
+        ok = sgk::parse_count(value, 1, events);
       } else if (take_flag(opts.rest, i, "--burst", value)) {
-        burst = std::stoi(value);
+        ok = sgk::parse_count(value, 1, burst);
       } else if (take_flag(opts.rest, i, "--window-min", value)) {
-        window_min_ms = std::stod(value);
+        ok = sgk::parse_real(value, window_min_ms) && window_min_ms >= 0.0;
       } else if (take_flag(opts.rest, i, "--window-max", value)) {
-        window_max_ms = std::stod(value);
+        ok = sgk::parse_real(value, window_max_ms);
       } else if (take_flag(opts.rest, i, "--budget", value)) {
-        budget_ms = std::stod(value);
+        ok = sgk::parse_real(value, budget_ms);
       } else if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
+        ok = parse_protocols(value, protocols);
       } else if (take_flag(opts.rest, i, "--scale", value)) {
         scale = sgk::parse_scale(value);
         scale_set = true;
       } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
+        ok = false;
       }
+      if (!ok) throw std::runtime_error("bad argument '" + opts.rest[i] + "'");
     }
+    if (window_max_ms < window_min_ms)
+      throw std::runtime_error("need --window-min <= --window-max");
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (groups < 1 || members < 2 || events < 1 || burst < 1 ||
-      window_min_ms < 0.0 || window_max_ms < window_min_ms) {
-    std::cerr << "error: need --groups >= 1, --members >= 2, --events >= 1, "
-                 "--burst >= 1, 0 <= --window-min <= --window-max\n";
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
     return 2;
   }
   if (opts.threads_set && !scale_set) scale = {opts.threads};
@@ -131,7 +127,7 @@ int main(int argc, char** argv) {
     params.set("latency_budget_ms", sgk::obs::Json(budget_ms));
     // Deliberately no thread count here: the deterministic sections must be
     // byte-identical for any --threads/--scale (it is recorded in the
-    // "wallclock" env instead, where bench_gate checks it).
+    // "wallclock" env instead, where bench_gate refuses a mismatch).
     report.add_section("params", std::move(params));
   }
 
@@ -143,12 +139,12 @@ int main(int argc, char** argv) {
     sgk::server::ServerConfig cfg;
     cfg.groups = groups;
     cfg.members_per_group = members;
-    cfg.churn_events = events;
+    cfg.churn_events = static_cast<int>(events);
     cfg.threads = threads;
     cfg.seed = opts.seed;
     cfg.protocols = protocols;
     cfg.storm = sgk::server::StormKind::kBursty;
-    cfg.burst_size = burst;
+    cfg.burst_size = static_cast<int>(burst);
     cfg.batch.enabled = true;
     cfg.batch.min_window_ms = batched ? window_min_ms : 0.0;
     cfg.batch.max_window_ms = batched ? window_max_ms : 0.0;
@@ -211,7 +207,7 @@ int main(int argc, char** argv) {
   const ModeOutcome& batched = modes[1];
 
   // Robustness acceptance criteria, enforced here so a regressed pipeline
-  // fails CI even before bench_gate compares numbers against the baseline.
+  // fails by its exit code, whatever its report says.
   bool criteria_ok = true;
   auto check = [&](bool ok, const std::string& what) {
     std::cout << (ok ? "criterion ok:  " : "criterion FAIL: ") << what << "\n";
@@ -254,26 +250,6 @@ int main(int argc, char** argv) {
     contrast.set("criteria_ok", sgk::obs::Json(criteria_ok));
     storm.set("contrast", std::move(contrast));
     report.add_section("churn_storm", std::move(storm));
-  }
-
-  {
-    // "table" rows feed the CI gate alongside the per-mode cells it reads
-    // from the churn_storm section directly. All are lower-is-better; the
-    // keys/event ratio rides in an elapsed_ms cell like every gated number.
-    sgk::obs::Json table = sgk::obs::Json::array();
-    auto row = [&](const char* event, double value) {
-      sgk::obs::Json r = sgk::obs::Json::object();
-      r.set("protocol", sgk::obs::Json("mix"));
-      r.set("event", sgk::obs::Json(event));
-      r.set("elapsed_ms", sgk::obs::Json(value));
-      table.push(std::move(r));
-    };
-    row("storm_keys_per_event", batched.result.rekeys_per_event);
-    row("storm_event_to_key_p99", batched.result.batch_event_to_key_p99_ms);
-    row("storm_event_to_key_p99_unbatched",
-        unbatched.result.batch_event_to_key_p99_ms);
-    row("storm_makespan", batched.result.virtual_makespan_ms);
-    report.add_section("table", std::move(table));
   }
 
   // Host-time scaling for the batched sweep.

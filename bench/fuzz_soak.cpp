@@ -18,15 +18,13 @@
 // seeds run unsigned with the detectable-only menu (strict validation alone
 // must hold the line). Each failing run prints a one-line repro command that
 // replays the identical schedule bit-for-bit.
-//
-// Usage: fuzz_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
-//                  [--rates R1,R2,...] [--group-size N] [--events N]
-//                  [--seed BASE] [--json out.json] [--trace out.trace.json]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_io.h"
@@ -40,13 +38,27 @@ using sgk::lower_name;
 using sgk::parse_protocols;
 using sgk::take_flag;
 
-std::vector<double> parse_rates(const std::string& csv) {
+// Comma-separated mutation rates, each in (0,1]. Returns false for an
+// empty list or a bad entry.
+bool parse_rates(const std::string& csv, std::vector<double>& out) {
   std::vector<double> rates;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
-  return rates;
+  while (std::getline(ss, item, ',')) {
+    double r = 0.0;
+    if (!sgk::parse_real(item, r) || r <= 0.0 || r > 1.0) return false;
+    rates.push_back(r);
+  }
+  if (rates.empty()) return false;
+  out = std::move(rates);
+  return true;
 }
+
+constexpr const char* kUsage =
+    "usage: fuzz_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N >= 1]\n"
+    "                 [--rates R1,R2,... each in (0,1]] [--group-size N >= 2]\n"
+    "                 [--events N] [--seed BASE] [--json out.json]\n"
+    "                 [--trace out.trace.json]\n";
 
 }  // namespace
 
@@ -60,45 +72,33 @@ int main(int argc, char** argv) {
 
   std::vector<ProtocolKind> protocols;
   parse_protocols("all", protocols);
-  int seeds = 32;
+  std::size_t seeds = 32;
   std::vector<double> rates = {0.02, 0.05};
   std::size_t group_size = 8;
-  int events = 6;
+  std::size_t events = 6;
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
+      bool ok = true;
       if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
+        ok = parse_protocols(value, protocols);
       } else if (take_flag(opts.rest, i, "--seeds", value)) {
-        seeds = std::stoi(value);
+        ok = sgk::parse_count(value, 1, seeds);
       } else if (take_flag(opts.rest, i, "--rates", value)) {
-        rates = parse_rates(value);
+        ok = parse_rates(value, rates);
       } else if (take_flag(opts.rest, i, "--group-size", value)) {
-        group_size = std::stoul(value);
+        ok = sgk::parse_count(value, 2, group_size);
       } else if (take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
+        ok = sgk::parse_count(value, 0, events);
       } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
+        ok = false;
       }
+      if (!ok) throw std::runtime_error("bad argument '" + opts.rest[i] + "'");
     }
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
     return 2;
   }
-  if (seeds < 1 || events < 0 || group_size < 2 || rates.empty()) {
-    std::cerr << "error: need --seeds >= 1, --events >= 0, --group-size >= 2, "
-                 "non-empty --rates\n";
-    return 2;
-  }
-  for (double r : rates)
-    if (r <= 0.0 || r > 1.0) {
-      std::cerr << "error: every rate must be in (0,1]\n";
-      return 2;
-    }
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("fuzz_soak");
@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
 
   int total_runs = 0, failures = 0, crashes = 0;
   sgk::obs::Json fuzz = sgk::obs::Json::object();
-  sgk::obs::Json table = sgk::obs::Json::array();
   for (ProtocolKind kind : protocols) {
     const char* proto = sgk::to_string(kind);
     sgk::obs::Json per_rate = sgk::obs::Json::object();
@@ -127,13 +126,13 @@ int main(int argc, char** argv) {
       std::vector<double> converge_ms;
       std::uint64_t mutated = 0, rejected = 0, recoveries = 0;
       int converged = 0;
-      for (int s = 0; s < seeds; ++s) {
-        const std::uint64_t seed = opts.seed + static_cast<std::uint64_t>(s);
+      for (std::size_t s = 0; s < seeds; ++s) {
+        const std::uint64_t seed = opts.seed + s;
         sgk::server::GroupSpec spec;
         spec.protocol = kind;
         spec.seed = seed;
         spec.initial_size = group_size;
-        spec.churn_events = events;
+        spec.churn_events = static_cast<int>(events);
         spec.rates = sgk::fault::FaultRates::uniform(0.1);
         spec.mutation_rate = rate;
         // Parity regime: even seeds keep signatures on and face the full
@@ -188,24 +187,15 @@ int main(int argc, char** argv) {
       entry.set("frames_mutated", sgk::obs::Json(mutated));
       entry.set("frames_rejected", sgk::obs::Json(rejected));
       entry.set("recoveries", sgk::obs::Json(recoveries));
-      const double median_ms = sgk::obs::sample_quantile(converge_ms, 0.5);
-      entry.set("convergence_median_ms", sgk::obs::Json(median_ms));
+      entry.set("convergence_median_ms",
+                sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.5)));
       entry.set("convergence_p95_ms",
                 sgk::obs::Json(sgk::obs::sample_quantile(converge_ms, 0.95)));
       per_rate.set(rate_str, std::move(entry));
-
-      // "table" rows feed the CI gate (tools/bench_gate): the median
-      // convergence time per (protocol, rate) is the watched cell.
-      sgk::obs::Json row = sgk::obs::Json::object();
-      row.set("protocol", sgk::obs::Json(proto));
-      row.set("event", sgk::obs::Json("fuzz_converge@" + rate_str));
-      row.set("elapsed_ms", sgk::obs::Json(median_ms));
-      table.push(std::move(row));
     }
     fuzz.set(proto, std::move(per_rate));
   }
   report.add_section("fuzz", std::move(fuzz));
-  report.add_section("table", std::move(table));
 
   std::cout << "\nfuzz_soak: " << total_runs << " runs, "
             << total_runs - failures << " survived, " << failures

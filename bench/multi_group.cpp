@@ -15,16 +15,11 @@
 // 1,2,4,8) over the same scenario and verifies that every run's canonical
 // JSON is byte-identical to the first — the determinism regression runs
 // inside the bench itself on every invocation.
-//
-// Usage: multi_group [--groups N] [--members N] [--events N] [--window MS]
-//                    [--fault-rate R] [--protocol all|gdh|ckd|tgdh|str|bd]
-//                    [--scale 1,2,4,8] [--per-group] [--threads N]
-//                    [--seed BASE] [--json out.json] [--trace out.trace.json]
-//                    [--wallclock]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +31,14 @@ using sgk::ProtocolKind;
 using sgk::parse_protocols;
 using sgk::take_flag;
 
+constexpr const char* kUsage =
+    "usage: multi_group [--groups N >= 1] [--members N >= 2] [--events N]\n"
+    "                   [--window MS > 0] [--fault-rate R in [0,1]]\n"
+    "                   [--protocol all|gdh|ckd|tgdh|str|bd]\n"
+    "                   [--scale 1,2,4,8] [--per-group] [--threads N]\n"
+    "                   [--seed BASE] [--json out.json]\n"
+    "                   [--trace out.trace.json] [--wallclock]\n";
+
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
   std::string err;
@@ -46,7 +49,7 @@ int main(int argc, char** argv) {
 
   std::size_t groups = 1000;
   std::size_t members = 4;
-  int events = 2;
+  std::size_t events = 2;
   double window_ms = 50.0;
   double fault_rate = 0.0;
   bool per_group = false;
@@ -57,39 +60,32 @@ int main(int argc, char** argv) {
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
+      bool ok = true;
       if (take_flag(opts.rest, i, "--groups", value)) {
-        groups = std::stoul(value);
+        ok = sgk::parse_count(value, 1, groups);
       } else if (take_flag(opts.rest, i, "--members", value)) {
-        members = std::stoul(value);
+        ok = sgk::parse_count(value, 2, members);
       } else if (take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
+        ok = sgk::parse_count(value, 0, events);
       } else if (take_flag(opts.rest, i, "--window", value)) {
-        window_ms = std::stod(value);
+        ok = sgk::parse_real(value, window_ms) && window_ms > 0.0;
       } else if (take_flag(opts.rest, i, "--fault-rate", value)) {
-        fault_rate = std::stod(value);
+        ok = sgk::parse_real(value, fault_rate) && fault_rate >= 0.0 &&
+             fault_rate <= 1.0;
       } else if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
+        ok = parse_protocols(value, protocols);
       } else if (take_flag(opts.rest, i, "--scale", value)) {
         scale = sgk::parse_scale(value);
         scale_set = true;
       } else if (opts.rest[i] == "--per-group") {
         per_group = true;
       } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
+        ok = false;
       }
+      if (!ok) throw std::runtime_error("bad argument '" + opts.rest[i] + "'");
     }
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (groups < 1 || members < 2 || events < 0 || window_ms <= 0.0 ||
-      fault_rate < 0.0 || fault_rate > 1.0) {
-    std::cerr << "error: need --groups >= 1, --members >= 2, --events >= 0, "
-                 "--window > 0, --fault-rate in [0,1]\n";
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
     return 2;
   }
   // --threads pins one count; otherwise the scale list is swept and every
@@ -107,7 +103,7 @@ int main(int argc, char** argv) {
     params.set("fault_rate", sgk::obs::Json(fault_rate));
     // Deliberately no thread count here: the deterministic sections must be
     // byte-identical for any --threads/--scale (it is recorded in the
-    // "wallclock" env instead, where bench_gate checks it).
+    // "wallclock" env instead, where bench_gate refuses a mismatch).
     report.add_section("params", std::move(params));
   }
 
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
     sgk::server::ServerConfig cfg;
     cfg.groups = groups;
     cfg.members_per_group = members;
-    cfg.churn_events = events;
+    cfg.churn_events = static_cast<int>(events);
     cfg.threads = threads;
     cfg.seed = opts.seed;
     cfg.epoch_window_ms = window_ms;
@@ -167,38 +163,6 @@ int main(int argc, char** argv) {
       std::cout);
 
   report.add_section("multi_group", std::move(multi));
-
-  {
-    // "table" rows feed the CI gate (tools/bench_gate) alongside the
-    // aggregate cells it reads from the multi_group section directly.
-    sgk::obs::Json table = sgk::obs::Json::array();
-    const sgk::obs::Json* protos = report.json().find("multi_group");
-    if (protos != nullptr) {
-      if (const sgk::obs::Json* rows = protos->find("protocols")) {
-        for (const sgk::obs::Json& row : rows->as_array()) {
-          const sgk::obs::Json* proto = row.find("protocol");
-          const sgk::obs::Json* onboard = row.find("onboard_p50_ms");
-          const sgk::obs::Json* p99 = row.find("event_to_key_p99_ms");
-          if (proto == nullptr) continue;
-          if (onboard != nullptr) {
-            sgk::obs::Json r = sgk::obs::Json::object();
-            r.set("protocol", *proto);
-            r.set("event", sgk::obs::Json("mg_onboard_p50"));
-            r.set("elapsed_ms", *onboard);
-            table.push(std::move(r));
-          }
-          if (p99 != nullptr) {
-            sgk::obs::Json r = sgk::obs::Json::object();
-            r.set("protocol", *proto);
-            r.set("event", sgk::obs::Json("mg_event_to_key_p99"));
-            r.set("elapsed_ms", *p99);
-            table.push(std::move(r));
-          }
-        }
-      }
-    }
-    report.add_section("table", std::move(table));
-  }
 
   sweep.print_wall_table(std::cout);
 

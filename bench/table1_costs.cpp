@@ -12,8 +12,8 @@
 // Counting convention: key-confirmation recomputation is disabled, matching
 // the optimization the paper applies when counting exponentiations (sec. 5).
 //
-// Usage: table1_costs [n] [m] [l] [--json out.json] [--trace out.trace.json]
-//        (defaults n=16, m=4, l=4)
+// Usage: table1_costs [n >= 2] [m >= 1] [l in [1, n-1]] [--json out.json]
+//                     [--trace out.trace.json]   (defaults n=16, m=4, l=4)
 #include <cmath>
 #include <iomanip>
 #include <iostream>
@@ -130,9 +130,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::size_t n = 16, m = 4, l = 4;
-  if (opts.rest.size() > 0) n = std::stoul(opts.rest[0]);
-  if (opts.rest.size() > 1) m = std::stoul(opts.rest[1]);
-  if (opts.rest.size() > 2) l = std::stoul(opts.rest[2]);
+  // The smallest sizes every event runs with: a group of two, one merging
+  // member, and a partition that leaves at least one member behind.
+  const bool args_ok =
+      opts.rest.size() <= 3 &&
+      (opts.rest.size() < 1 || parse_count(opts.rest[0], 2, n)) &&
+      (opts.rest.size() < 2 || parse_count(opts.rest[1], 1, m)) &&
+      (opts.rest.size() < 3 || parse_count(opts.rest[2], 1, l)) && l < n;
+  if (!args_ok) {
+    std::cerr << "usage: table1_costs [n >= 2] [m >= 1] [l in [1, n-1]] "
+                 "[--json out.json] [--trace out.trace.json]\n"
+                 "       (defaults n=16, m=4, l=4)\n";
+    return 2;
+  }
   Formulas f{n, m, l};
   ObsSession session(opts);
   const std::string N = std::to_string(n);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <map>
@@ -51,20 +53,17 @@ bool BenchOptions::parse(int argc, char** argv, BenchOptions& out,
     } else if (arg == "--trace") {
       out.trace_path = value;
     } else if (arg == "--threads") {
-      try {
-        out.threads = std::stoi(value);
-      } catch (const std::exception&) {
-        out.threads = 0;
-      }
-      if (out.threads < 1) {
+      std::size_t threads = 0;
+      if (!parse_count(value, 1, threads)) {
         error = "--threads requires a positive integer, got '" + value + "'";
         return false;
       }
+      out.threads = static_cast<int>(threads);
       out.threads_set = true;
     } else {
-      try {
-        out.seed = std::stoull(value);
-      } catch (const std::exception&) {
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, out.seed);
+      if (ec != std::errc() || ptr != end) {
         error = "--seed requires an unsigned integer, got '" + value + "'";
         return false;
       }
@@ -212,14 +211,25 @@ bool parse_count(const std::string& text, std::size_t min, std::size_t& out) {
   return true;
 }
 
+bool parse_real(const std::string& text, double& out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
 std::vector<int> parse_scale(const std::string& list) {
   std::vector<int> out;
   std::stringstream ss(list);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const int t = std::stoi(item);
-    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
-    out.push_back(t);
+    std::size_t t = 0;
+    if (!parse_count(item, 1, t))
+      throw std::runtime_error("--scale entries must be counts >= 1, got '" +
+                               item + "'");
+    out.push_back(static_cast<int>(t));
   }
   if (out.empty()) throw std::runtime_error("--scale requires a list");
   return out;

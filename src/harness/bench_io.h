@@ -108,8 +108,14 @@ std::string lower_name(ProtocolKind kind);
 /// `min`. Returns false and leaves `out` untouched otherwise.
 bool parse_count(const std::string& text, std::size_t min, std::size_t& out);
 
-/// Parses a --scale value: comma-separated worker-thread counts, each >= 1.
-/// Throws std::runtime_error for an empty list or a count below 1.
+/// Parses a rate or a time in milliseconds given on the command line: a
+/// finite decimal number and nothing else (no trailing characters). Returns
+/// false and leaves `out` untouched otherwise.
+bool parse_real(const std::string& text, double& out);
+
+/// Parses a --scale value: comma-separated worker-thread counts, each a
+/// parse_count count >= 1. Throws std::runtime_error for an empty list or a
+/// bad entry.
 std::vector<int> parse_scale(const std::string& list);
 
 /// Outcome of a thread-scale sweep (sweep_thread_scale).

@@ -1,10 +1,10 @@
 // Minimal JSON document model with a parser and a serializer.
 //
 // Used by the observability layer for machine-readable bench output
-// (BENCH_*.json), Chrome trace_event export, and the bench_gate comparison
-// tool. Numbers are stored as doubles (every counter this project emits fits
-// losslessly below 2^53); objects preserve insertion order so emitted files
-// diff cleanly between runs.
+// (BENCH_*.json), Chrome trace_event export, and the bench_gate wall-clock
+// report. Numbers are stored as doubles (every counter this project emits
+// fits losslessly below 2^53); objects preserve insertion order so emitted
+// files diff cleanly between runs.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,8 @@
 // ingredients: whatever bench-specific payload the binary provides (sweep
 // series, table rows), the MetricsRegistry aggregate state, and per-
 // (protocol, event) span rollups derived from the tracer. The schema is
-// documented in docs/observability.md and guarded by the bench_gate tool.
+// documented in docs/observability.md; CI compares each committed report
+// with its regenerated copy byte for byte.
 #pragma once
 
 #include <string>

@@ -28,8 +28,8 @@
 // (min of k batch means, after warmup) and that overhead is subtracted from
 // every recorded interval, clamped at zero so a measured duration is never
 // negative. Cross-machine comparisons should use ratios, not absolute ns —
-// the bench_gate wall-trajectory mode is ratio-based and report-only by
-// default for exactly that reason.
+// the bench_gate wall-trajectory report is ratio-based and report-only for
+// exactly that reason.
 #pragma once
 
 #include <chrono>

@@ -201,6 +201,23 @@ TEST(BenchIo, ParsesObservabilityFlagsAndPassesRestThrough) {
   EXPECT_NE(error.find("--json"), std::string::npos);
 }
 
+TEST(BenchIo, ThreadsAndSeedTakeOnlyWholeNumbers) {
+  const char* good[] = {"bench", "--threads", "4",
+                        "--seed=18446744073709551615"};
+  BenchOptions opts;
+  std::string error;
+  ASSERT_TRUE(BenchOptions::parse(4, const_cast<char**>(good), opts, error));
+  EXPECT_EQ(opts.threads, 4);
+  EXPECT_EQ(opts.seed, 18446744073709551615ull);
+  for (const char* bad : {"--threads=4x", "--threads=0", "--seed=7x",
+                          "--seed=-1", "--seed=18446744073709551616"}) {
+    const char* argv[] = {"bench", bad};
+    BenchOptions o;
+    EXPECT_FALSE(BenchOptions::parse(2, const_cast<char**>(argv), o, error))
+        << bad;
+  }
+}
+
 TEST(BenchIo, SweepToJsonEmitsMedianAndP95) {
   SweepResult r;
   r.min_size = 2;
@@ -229,6 +246,23 @@ TEST(BenchIo, ParseScaleRejectsZeroNegativeAndEmpty) {
   EXPECT_THROW(parse_scale("1,0"), std::runtime_error);
   EXPECT_THROW(parse_scale("-2"), std::runtime_error);
   EXPECT_THROW(parse_scale(""), std::runtime_error);
+  // Trailing characters are an error, not a count.
+  EXPECT_THROW(parse_scale("1x"), std::runtime_error);
+  EXPECT_THROW(parse_scale("2,4x"), std::runtime_error);
+  EXPECT_THROW(parse_scale("1,,2"), std::runtime_error);
+}
+
+TEST(BenchIo, ParseRealTakesOnlyAFiniteNumber) {
+  double v = -1.0;
+  EXPECT_TRUE(parse_real("0.05", v));
+  EXPECT_DOUBLE_EQ(v, 0.05);
+  EXPECT_TRUE(parse_real("250", v));
+  EXPECT_DOUBLE_EQ(v, 250.0);
+  for (const char* bad : {"", "0.0x", "5ms", " 1", "1 ", "+1", "nan", "inf"}) {
+    v = -1.0;
+    EXPECT_FALSE(parse_real(bad, v)) << bad;
+    EXPECT_DOUBLE_EQ(v, -1.0) << bad;
+  }
 }
 
 // A run whose JSON differs at one thread count turns the verdict false and
