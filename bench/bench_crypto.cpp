@@ -18,6 +18,7 @@
 #include <string>
 
 #include "bignum/modmath.h"
+#include "bignum/montgomery.h"
 #include "bignum/prime.h"
 #include "crypto/aes.h"
 #include "crypto/dh.h"
@@ -63,6 +64,19 @@ void run_rows() {
   const BigInt e1024 = g1024.random_exponent(rng);
   row("BM_ModExp512_Short", [&] { return g512.exp_g(e512).bit_length(); });
   row("BM_ModExp1024_Short", [&] { return g1024.exp_g(e1024).bit_length(); });
+
+  // The secret path's fixed windows on a random base (exp_g runs the comb):
+  // a 160-bit exponent at 512 and 1024 bits (a DH share raised to a secret),
+  // and a 512-bit exponent on a 512-bit context, the shape of one RSA-CRT
+  // half of BM_RsaSign1024.
+  const BigInt y512 = BigInt::random_below(g512.p(), rng);
+  const BigInt y1024 = BigInt::random_below(g1024.p(), rng);
+  row("BM_ModExp512_Window160", [&] { return g512.exp(y512, e512).bit_length(); });
+  row("BM_ModExp1024_Window160", [&] { return g1024.exp(y1024, e1024).bit_length(); });
+  const std::size_t half = g512.p().bit_length();
+  const MontgomeryCtx crt(g512.p(), half);
+  const BigInt d_half = BigInt::random_bits(half, rng);
+  row("BM_ModExp512_CrtHalf512", [&] { return crt.exp(y512, d_half).bit_length(); });
 
   // BD's step-3 "hidden cost" exponentiations: exponent < group size.
   const BigInt base = g512.exp_g(g512.random_exponent(rng));

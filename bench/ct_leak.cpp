@@ -15,7 +15,10 @@
 // its table is built before timing starts). An all-ones exponent, whose
 // every window selects the table's last entry, is compared with random
 // exponents at K = 8 and K = 16: a scan that stopped at the selected entry
-// would be slowest on it. The public sliding-window path on the same DH-512
+// would be slowest on it. One more row runs the RSA-CRT-half shape, a
+// 512-bit secret exponent on a 512-bit modulus (K = 8, where squarings are
+// nearly all the work): the top bit alone and all ones in turn against
+// random 512-bit exponents. The public sliding-window path on the same DH-512
 // modulus is run as a control that must show a leak: it does one multiply
 // per non-zero window, so the fixed class is much faster.
 //
@@ -124,14 +127,17 @@ void check_exp(const char* name, const MontgomeryCtx& ctx, std::size_t samples,
         [&ctx](const Input& in) { return ctx.exp(in.base, in.e); });
 }
 
-// Exponent row: base fixed, the exponent `fixed` against random exponents
-// of its length.
+// Exponent row: base fixed, exponents from `fixed_class` (cycled, all of
+// one length) against random exponents of that length.
 void check_exponents(const char* name, const MontgomeryCtx& ctx, const BigInt& base,
-                     const BigInt& fixed, std::size_t samples, Drbg& rng) {
-  const std::size_t ebits = fixed.bit_length();
+                     const std::vector<BigInt>& fixed_class, std::size_t samples,
+                     Drbg& rng) {
+  const std::size_t ebits = fixed_class.front().bit_length();
+  std::size_t next = 0;
   check_exp(name, ctx, samples, rng, [&](std::size_t cls) {
     BigInt drawn = BigInt::random_bits(ebits, rng);
-    return Input{base, cls == 0 ? fixed : std::move(drawn)};
+    if (cls == 1) return Input{base, std::move(drawn)};
+    return Input{base, fixed_class[next++ % fixed_class.size()]};
   });
 }
 
@@ -190,30 +196,34 @@ int main(int argc, char** argv) {
   // The fixed exponents: the top bit alone, and every bit set.
   const sgk::BigInt top = sgk::BigInt(1) << (qbits - 1);
   const sgk::BigInt ones = (sgk::BigInt(1) << qbits) - sgk::BigInt(1);
-  std::printf("Exponent rows: fixed vs random %zu-bit exponents\n", qbits);
+  const std::size_t wide = g512.p().bit_length();
+  const sgk::MontgomeryCtx crt(g512.p(), wide);  // RSA-CRT-half shape
+  std::printf("Exponent rows: fixed vs random exponents (%zu bits unless named)\n", qbits);
   sgk::check_exponents("DH-512 secret path (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
-                       random_base(g512.p()), top, samples, rng);
+                       random_base(g512.p()), {top}, samples, rng);
   sgk::check_exponents("DH-1024 secret path (K=16)",
                        sgk::MontgomeryCtx(g1024.p(), qbits),
-                       random_base(g1024.p()), top, samples, rng);
+                       random_base(g1024.p()), {top}, samples, rng);
   sgk::check_exponents("DH-512 fixed-base comb, g (K=8)",
                        sgk::MontgomeryCtx(g512.p(), qbits, g512.g()), g512.g(),
-                       top, samples, rng);
+                       {top}, samples, rng);
   sgk::check_exponents("DH-1024 fixed-base comb, g (K=16)",
                        sgk::MontgomeryCtx(g1024.p(), qbits, g1024.g()), g1024.g(),
-                       top, samples, rng);
+                       {top}, samples, rng);
   sgk::check_exponents("DH-512 all-ones exponent (K=8)", sgk::MontgomeryCtx(g512.p(), qbits),
-                       random_base(g512.p()), ones, samples, rng);
+                       random_base(g512.p()), {ones}, samples, rng);
   sgk::check_exponents("DH-1024 all-ones exponent (K=16)",
-                       sgk::MontgomeryCtx(g1024.p(), qbits), random_base(g1024.p()), ones,
+                       sgk::MontgomeryCtx(g1024.p(), qbits), random_base(g1024.p()), {ones},
+                       samples, rng);
+  sgk::check_exponents("512-bit exponent, top bit/all ones (K=8)", crt,
+                       random_base(g512.p()),
+                       {sgk::BigInt(1) << (wide - 1), (sgk::BigInt(1) << wide) - sgk::BigInt(1)},
                        samples, rng);
   sgk::check_exponents("DH-512 public path (control, should leak)",
-                       sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), top,
+                       sgk::MontgomeryCtx(g512.p()), random_base(g512.p()), {top},
                        samples, rng);
 
   std::printf("Base rows: fixed exponent, fixed or edge vs random bases\n");
-  const std::size_t wide = g512.p().bit_length();
-  const sgk::MontgomeryCtx crt(g512.p(), wide);  // RSA-CRT-half shape
   const sgk::MontgomeryCtx dh1024(g1024.p(), qbits);
   const sgk::BigInt e_wide = sgk::BigInt::random_bits(wide, rng);
   const sgk::BigInt e_q = sgk::BigInt::random_bits(qbits, rng);

@@ -110,7 +110,7 @@ struct Modulus {
 // arrays of k limbs; Montgomery form is v * R mod n with R = 2^(64k).
 // At K = 8 and 16, mul and sqr run the MULX/ADCX/ADOX routines of
 // montgomery_adx.h instead where adx::selected() (the CPU, never the
-// operands) says so, ending in the same masked final_sub.
+// operands) says so; those end in their own branch-free final subtraction.
 template <std::size_t K>
 class Kernel {
   static constexpr bool kAdxBuilt = adx::kBuilt && (K == 8 || K == 16);
@@ -199,11 +199,7 @@ class Kernel {
   // or b.
   void mul(u64* out, const u64* a, const u64* b) const {
     if constexpr (kAdxBuilt) {
-      if (adx_) {
-        u64 z[2 * K];
-        const u64 carry = adx::mul<K>(z, a, b, mod_.n, mod_.n0_inv);
-        return final_sub(out, z + K, carry);
-      }
+      if (adx_) return adx::mul<K>(out, a, b, mod_.n, mod_.n0_inv);
     }
     const std::size_t k = limbs();
     const u64* n = mod_.n;
@@ -242,11 +238,7 @@ class Kernel {
   void sqr(u64* out, const u64* a) const {
     if constexpr (K == 0) return mul(out, a, a);
     if constexpr (kAdxBuilt) {
-      if (adx_) {
-        u64 z[2 * K];
-        const u64 carry = adx::sqr<K>(z, a, mod_.n, mod_.n0_inv);
-        return final_sub(out, z + K, carry);
-      }
+      if (adx_) return adx::sqr<K>(out, a, mod_.n, mod_.n0_inv);
     }
     const std::size_t k = limbs();
     const u64* n = mod_.n;

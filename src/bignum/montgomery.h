@@ -22,10 +22,12 @@
 // On x86-64 CPUs whose cpuid reports BMI2 and ADX, the 8- and 16-limb
 // product and squaring run MULX/ADCX/ADOX routines instead
 // (montgomery_adx.h): operand-scanning rows whose two carry chains (ADCX on
-// the carry flag, ADOX on the overflow flag) interleave, ending in the same
-// masked final subtraction. They compute exactly what the portable kernel
-// computes. Like it, they have no branch and no load or store whose address
-// depends on the data, and every loop counts limbs. Which kernel runs is
+// the carry flag, ADOX on the overflow flag) interleave, each routine ending
+// in its own branch-free final subtraction and storing the reduced result.
+// The 8-limb squaring keeps its cross products and their doubling in
+// registers. They compute exactly what the portable kernel computes. Like
+// it, they have no branch and no load or store whose address depends on the
+// data, and every loop counts limbs. Which kernel runs is
 // decided once per process by the CPU, never by the operands; no option
 // selects it (only a test seam can force the portable kernel). exp() takes
 // one of two paths:

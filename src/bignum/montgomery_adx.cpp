@@ -36,11 +36,11 @@ PortableKernelForTesting::~PortableKernelForTesting() { --portable_for_testing; 
 }  // namespace sgk::adx
 
 #if defined(__x86_64__) && defined(__ELF__)
-// The routines, in AT&T syntax. At 16 limbs the accumulator window lives in
-// z and each row streams through it; register use there (and in the 8-limb
-// squaring's first phase):
+// The routines, in AT&T syntax. At 16 limbs the accumulator window is 2k
+// words on the routine's stack and each row streams through it; register
+// use there:
 //   %rdi  accumulator window: word 0 is the row's lowest word; it moves up
-//         one word per reduction, so the result ends at z + k
+//         one word per reduction, so the result ends k words up
 //   %rsi  a            %rcx  n            %r9   b (product only)
 //   %r8   n0_inv       %rdx  the row's multiplier (MULX's implicit operand)
 //   %rbx  zero         %r13  carry word above the window
@@ -50,7 +50,12 @@ PortableKernelForTesting::~PortableKernelForTesting() { --portable_for_testing; 
 // At 8 limbs the window lives in registers instead (see sgk_adx8_row). In
 // every routine a row's two carry chains never cross an instruction that
 // writes flags (IMUL, CMP and XOR sit between rows), and every loop runs k
-// times.
+// times. Every routine ends in the same final subtraction: the result minus
+// n on one SUB/SBB borrow chain through the carry word, then, limb by limb,
+// a CMOV on the last borrow keeps the result where the difference is
+// negative. CMOV has no branch and reads both of its operands every time.
+// out is written only after the last read of a and b, so it may alias
+// either.
 asm(R"(
 	.pushsection .text, "ax", @progbits
 
@@ -104,9 +109,9 @@ asm(R"(
 	.endr
 	.endm
 
-# Entry and exit: saves the callee-saved registers and reserves four stack
-# words (read as 0(%rsp) .. 24(%rsp) by the 8-limb routines).
-	.macro sgk_adx_enter name
+# Entry and exit: saves the callee-saved registers and reserves `frame`
+# bytes of stack.
+	.macro sgk_adx_enter name, frame
 	.p2align 5
 	.globl \name
 	.hidden \name
@@ -119,13 +124,13 @@ asm(R"(
 	.cfi_adjust_cfa_offset 8
 	.cfi_rel_offset \reg, 0
 	.endr
-	subq $32, %rsp
-	.cfi_adjust_cfa_offset 32
+	subq $(\frame), %rsp
+	.cfi_adjust_cfa_offset (\frame)
 	.endm
 
-	.macro sgk_adx_leave name
-	addq $32, %rsp
-	.cfi_adjust_cfa_offset -32
+	.macro sgk_adx_leave name, frame
+	addq $(\frame), %rsp
+	.cfi_adjust_cfa_offset -(\frame)
 	.irp reg, %r15, %r14, %r13, %r12, %rbp, %rbx
 	popq \reg
 	.cfi_adjust_cfa_offset -8
@@ -136,12 +141,40 @@ asm(R"(
 	.size \name, . - \name
 	.endm
 
-# u64 sgk_mont_mul<k>_adx(u64* z, const u64* a, const u64* b, const u64* n,
-#                         u64 n0_inv): for each b[i], a row adds a * b[i]
-# into the window, then a reduction row adds m * n, which zeroes word 0, and
-# the window moves up a word.
+# Final subtraction at 16 limbs: (r13 : the k words at (%rdi)) - n goes
+# into the k spent words below them; then out, saved at 16k(%rsp), gets the
+# difference, or the window's words where the subtraction borrowed.
+	.macro sgk_adx_final k
+	.set .Lsgk_j, 0
+	.rept \k
+	movq 8*.Lsgk_j(%rdi), %rdx
+	.if .Lsgk_j
+	sbbq 8*.Lsgk_j(%rcx), %rdx
+	.else
+	subq (%rcx), %rdx
+	.endif
+	movq %rdx, 8*(.Lsgk_j-\k)(%rdi)
+	.set .Lsgk_j, .Lsgk_j + 1
+	.endr
+	sbbq $0, %r13
+	movq 16*\k(%rsp), %rax
+	.set .Lsgk_j, 0
+	.rept \k
+	movq 8*(.Lsgk_j-\k)(%rdi), %rdx
+	cmovcq 8*.Lsgk_j(%rdi), %rdx
+	movq %rdx, 8*.Lsgk_j(%rax)
+	.set .Lsgk_j, .Lsgk_j + 1
+	.endr
+	.endm
+
+# void sgk_mont_mul<k>_adx(u64* out, const u64* a, const u64* b,
+#                          const u64* n, u64 n0_inv): for each b[i], a row
+# adds a * b[i] into the window, then a reduction row adds m * n, which
+# zeroes word 0, and the window moves up a word.
 	.macro sgk_adx_mul k
-	sgk_adx_enter sgk_mont_mul\k\()_adx
+	sgk_adx_enter sgk_mont_mul\k\()_adx, 16*\k+16
+	movq %rdi, 16*\k(%rsp)
+	movq %rsp, %rdi
 	movq %rdx, %r9
 	leaq 8*\k(%rdx), %r15
 	xorl %ebx, %ebx
@@ -174,8 +207,8 @@ asm(R"(
 	leaq 8(%r9), %r9
 	cmpq %r15, %r9
 	jne 1b
-	movq %r13, %rax
-	sgk_adx_leave sgk_mont_mul\k\()_adx
+	sgk_adx_final \k
+	sgk_adx_leave sgk_mont_mul\k\()_adx, 16*\k+16
 	.endm
 
 # a^2 into (%rdi)[0 .. 2k): the cross products a[i] * a[i+1 .. k), once
@@ -222,11 +255,14 @@ asm(R"(
 	.endr
 	.endm
 
-# u64 sgk_mont_sqr<k>_adx(u64* z, const u64* a, const u64* n, u64 n0_inv):
-# a^2 into z[0 .. 2k), then k reduction rows m * n move the window up to
-# z + k, each adding its carry into the next row's top word.
+# void sgk_mont_sqr<k>_adx(u64* out, const u64* a, const u64* n,
+#                          u64 n0_inv): a^2 into the window's 2k words, then
+# k reduction rows m * n move the window up k words, each adding its carry
+# into the next row's top word.
 	.macro sgk_adx_sqr k
-	sgk_adx_enter sgk_mont_sqr\k\()_adx
+	sgk_adx_enter sgk_mont_sqr\k\()_adx, 16*\k+16
+	movq %rdi, 16*\k(%rsp)
+	movq %rsp, %rdi
 	movq %rcx, %r8
 	movq %rdx, %rcx
 	xorl %ebx, %ebx
@@ -248,16 +284,17 @@ asm(R"(
 	leaq 8(%rdi), %rdi
 	cmpq %r15, %rdi
 	jne 1b
-	movq %r13, %rax
-	sgk_adx_leave sgk_mont_sqr\k\()_adx
+	sgk_adx_final \k
+	sgk_adx_leave sgk_mont_sqr\k\()_adx, 16*\k+16
 	.endm
 
 # At 8 limbs the window fits in registers: t0 .. t9 below are a ring of ten
 # (%rdi, %rbp, %r8 .. %r15), renamed one place per reduction, which zeroes
-# t0; that register is the next round's t9. 0, 8, 16 and 24(%rsp) hold a
-# zero word, n0_inv, b and z. A row adds rdx * src into t0 .. t8: each low
-# half on the ADOX chain into t[j], each high half on the ADCX chain into
-# t[j+1], with %rax:%rbx as the product.
+# t0; that register is the next round's t9. 0, 8 and 24(%rsp) hold a zero
+# word, n0_inv and out; 16(%rsp) holds b (product) or n (squaring), and the
+# squaring keeps words 8 .. 15 of a^2 at 32 .. 88(%rsp). A row adds rdx * src
+# into t0 .. t8: each low half on the ADOX chain into t[j], each high half on
+# the ADCX chain into t[j+1], with %rax:%rbx as the product.
 	.macro sgk_adx8_step j, src, lo, hi
 	mulxq 8*\j(\src), %rax, %rbx
 	adoxq %rax, \lo
@@ -287,8 +324,35 @@ asm(R"(
 	adoxq \t0, \t9
 	.endm
 
+# Final subtraction at 8 limbs, for the result t1 .. t8 with carry word t9:
+# the result is stored to out, then t1 .. t8 become result - n on one borrow
+# chain that ends in t9, CMOV reloads the stored word where that borrows, and
+# t1 .. t8 are stored again.
+	.macro sgk_adx8_final t1, t2, t3, t4, t5, t6, t7, t8, t9
+	movq 24(%rsp), %rax
+	.set .Lsgk_j, 0
+	.irp limb, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8
+	movq \limb, 8*.Lsgk_j(%rax)
+	.set .Lsgk_j, .Lsgk_j + 1
+	.endr
+	subq (%rcx), \t1
+	.set .Lsgk_j, 1
+	.irp limb, \t2, \t3, \t4, \t5, \t6, \t7, \t8
+	sbbq 8*.Lsgk_j(%rcx), \limb
+	.set .Lsgk_j, .Lsgk_j + 1
+	.endr
+	sbbq $0, \t9
+	.set .Lsgk_j, 0
+	.irp limb, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8
+	cmovcq 8*.Lsgk_j(%rax), \limb
+	movq \limb, 8*.Lsgk_j(%rax)
+	.set .Lsgk_j, .Lsgk_j + 1
+	.endr
+	.endm
+
 # Rounds i .. 7 on the ring t0 .. t9 (t9 = 0 on entry); mul: t += a * b[i]
-# first. The result is t1 .. t8 of the last round plus its carry word t9.
+# first. The result is t1 .. t8 of the last round plus its carry word t9,
+# to which the squaring adds its high half before the final subtraction.
 	.macro sgk_adx8_rounds mul, i, t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
 	.if \mul
 	movq 16(%rsp), %rdx
@@ -302,32 +366,23 @@ asm(R"(
 	.if \i < 7
 	sgk_adx8_rounds \mul, (\i+1), \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9, \t0
 	.else
-	movq 24(%rsp), %rax
 	.if \mul == 0
-	addq 64(%rax), \t1
-	adcq 72(%rax), \t2
-	adcq 80(%rax), \t3
-	adcq 88(%rax), \t4
-	adcq 96(%rax), \t5
-	adcq 104(%rax), \t6
-	adcq 112(%rax), \t7
-	adcq 120(%rax), \t8
+	addq 32(%rsp), \t1
+	adcq 40(%rsp), \t2
+	adcq 48(%rsp), \t3
+	adcq 56(%rsp), \t4
+	adcq 64(%rsp), \t5
+	adcq 72(%rsp), \t6
+	adcq 80(%rsp), \t7
+	adcq 88(%rsp), \t8
 	adcq $0, \t9
 	.endif
-	movq \t1, 64(%rax)
-	movq \t2, 72(%rax)
-	movq \t3, 80(%rax)
-	movq \t4, 88(%rax)
-	movq \t5, 96(%rax)
-	movq \t6, 104(%rax)
-	movq \t7, 112(%rax)
-	movq \t8, 120(%rax)
-	movq \t9, %rax
+	sgk_adx8_final \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
 	.endif
 	.endm
 
 # sgk_mont_mul8_adx: eight rounds of a * b[i] then m * n, on a zeroed ring.
-	sgk_adx_enter sgk_mont_mul8_adx
+	sgk_adx_enter sgk_mont_mul8_adx, 32
 	movq $0, (%rsp)
 	movq %r8, 8(%rsp)
 	movq %rdx, 16(%rsp)
@@ -336,29 +391,127 @@ asm(R"(
 	xorl \reg, \reg
 	.endr
 	sgk_adx8_rounds 1, 0, %rdi, %rbp, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15
-	sgk_adx_leave sgk_mont_mul8_adx
+	sgk_adx_leave sgk_mont_mul8_adx, 32
 
-# sgk_mont_sqr8_adx: a^2 into z, eight rounds of m * n on its low half in
-# the ring, then its high half added.
-	sgk_adx_enter sgk_mont_sqr8_adx
+# The 8-limb squaring, in registers. Row i of the triangle adds a[i] *
+# a[i+1 .. 8) into the words 2i + 1 .. i + 7 and writes the new top word
+# i + 8, which takes both chains' last carries (the rows so far sum to less
+# than 2^(64(i+9)), so none passes it). A row's words are registers: the
+# low halves go on the ADOX chain into the first, the high halves on the
+# ADCX chain into the next. Words 1 .. 7 stay in t1 .. t7 of the reduction
+# ring; words 8 .. 14 take turns in %rdi, %r14, %r15 and %rcx (t0, t8, t9
+# and the spilled n), and words 8 .. 12 go to the stack once no later row
+# adds to them.
+	.macro sgk_sqr8_steps j, lo, hi, rest:vararg
+	.if \j == 7
+	mulxq 56(%rsi), %rax, \hi
+	adoxq %rax, \lo
+	adcxq (%rsp), \hi
+	adoxq (%rsp), \hi
+	.else
+	mulxq 8*\j(%rsi), %rax, %rbx
+	adoxq %rax, \lo
+	adcxq %rbx, \hi
+	sgk_sqr8_steps (\j+1), \hi, \rest
+	.endif
+	.endm
+
+	.macro sgk_sqr8_row i, words:vararg
+	movq 8*\i(%rsi), %rdx
+	xorl %eax, %eax
+	sgk_sqr8_steps (\i+1), \words
+	.endm
+
+# One word of a^2 in the doubling pass: the cross word in reg doubled on the
+# ADCX chain, plus half of a[i]^2 on the ADOX chain.
+	.macro sgk_sqr8_double reg, half
+	adcxq \reg, \reg
+	adoxq \half, \reg
+	.endm
+
+# The same for a cross word kept on the stack, through %rcx.
+	.macro sgk_sqr8_double_spilled slot, half
+	movq \slot, %rcx
+	sgk_sqr8_double %rcx, \half
+	movq %rcx, \slot
+	.endm
+
+# sgk_mont_sqr8_adx: the triangle, then the doubling pass leaves words
+# 0 .. 7 of a^2 in t0 .. t7 and words 8 .. 15 at 32 .. 88(%rsp); eight
+# rounds of m * n reduce the low half, the high half is added, and the
+# final subtraction stores out.
+	sgk_adx_enter sgk_mont_sqr8_adx, 96
+	movq $0, (%rsp)
 	movq %rcx, 8(%rsp)
+	movq %rdx, 16(%rsp)
 	movq %rdi, 24(%rsp)
-	movq %rdx, %rcx
+	movq (%rsi), %rdx
+	mulxq 8(%rsi), %rbp, %r8
+	mulxq 16(%rsi), %rax, %r9
+	addq %rax, %r8
+	mulxq 24(%rsi), %rax, %r10
+	adcq %rax, %r9
+	mulxq 32(%rsi), %rax, %r11
+	adcq %rax, %r10
+	mulxq 40(%rsi), %rax, %r12
+	adcq %rax, %r11
+	mulxq 48(%rsi), %rax, %r13
+	adcq %rax, %r12
+	mulxq 56(%rsi), %rax, %rdi
+	adcq %rax, %r13
+	adcq $0, %rdi
+	sgk_sqr8_row 1, %r9, %r10, %r11, %r12, %r13, %rdi, %r14
+	sgk_sqr8_row 2, %r11, %r12, %r13, %rdi, %r14, %r15
+	sgk_sqr8_row 3, %r13, %rdi, %r14, %r15, %rcx
+	movq %rdi, 32(%rsp)
+	sgk_sqr8_row 4, %r14, %r15, %rcx, %rdi
+	movq %r14, 40(%rsp)
+	movq %r15, 48(%rsp)
+	sgk_sqr8_row 5, %rcx, %rdi, %r14
+	movq %rcx, 56(%rsp)
+	movq %rdi, 64(%rsp)
+	sgk_sqr8_row 6, %r14, %r15
 	xorl %ebx, %ebx
-	sgk_adx_square 8
-	movq %rdi, %rax
-	movq 0(%rax), %rdi
-	movq 8(%rax), %rbp
-	movq 16(%rax), %r8
-	movq 24(%rax), %r9
-	movq 32(%rax), %r10
-	movq 40(%rax), %r11
-	movq 48(%rax), %r12
-	movq 56(%rax), %r13
+	movq (%rsi), %rdx
+	mulxq %rdx, %rdi, %rax
+	sgk_sqr8_double %rbp, %rax
+	movq 8(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double %r8, %rax
+	sgk_sqr8_double %r9, %rbx
+	movq 16(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double %r10, %rax
+	sgk_sqr8_double %r11, %rbx
+	movq 24(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double %r12, %rax
+	sgk_sqr8_double %r13, %rbx
+	movq 32(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double_spilled 32(%rsp), %rax
+	sgk_sqr8_double_spilled 40(%rsp), %rbx
+	movq 40(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double_spilled 48(%rsp), %rax
+	sgk_sqr8_double_spilled 56(%rsp), %rbx
+	movq 48(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double_spilled 64(%rsp), %rax
+	sgk_sqr8_double %r14, %rbx
+	movq 56(%rsi), %rdx
+	mulxq %rdx, %rax, %rbx
+	sgk_sqr8_double %r15, %rax
+	movl $0, %ecx
+	sgk_sqr8_double %rcx, %rbx
+	movq %r14, 72(%rsp)
+	movq %r15, 80(%rsp)
+	movq %rcx, 88(%rsp)
 	xorl %r14d, %r14d
 	xorl %r15d, %r15d
+	movq 16(%rsp), %rcx
 	sgk_adx8_rounds 0, 0, %rdi, %rbp, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15
-	sgk_adx_leave sgk_mont_sqr8_adx
+	sgk_adx_leave sgk_mont_sqr8_adx, 96
 
 	sgk_adx_mul 16
 	sgk_adx_sqr 16
@@ -367,13 +520,19 @@ asm(R"(
 	.purgem sgk_adx_row
 	.purgem sgk_adx_enter
 	.purgem sgk_adx_leave
+	.purgem sgk_adx_final
 	.purgem sgk_adx_mul
 	.purgem sgk_adx_square
 	.purgem sgk_adx_sqr
 	.purgem sgk_adx8_step
 	.purgem sgk_adx8_row
 	.purgem sgk_adx8_redc
+	.purgem sgk_adx8_final
 	.purgem sgk_adx8_rounds
+	.purgem sgk_sqr8_steps
+	.purgem sgk_sqr8_row
+	.purgem sgk_sqr8_double
+	.purgem sgk_sqr8_double_spilled
 	.popsection
 )");
 #endif

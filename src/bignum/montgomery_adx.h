@@ -8,18 +8,22 @@
 // operand and adds it into the accumulator with two independent carry
 // chains, the low halves of the row's products on the ADOX (overflow flag)
 // chain and the high halves plus the accumulator words on the ADCX (carry
-// flag) chain. The squaring forms its cross products once, then doubles
-// them on the ADCX chain while the ADOX chain adds the squares of the
-// limbs, and reduces afterwards.
+// flag) chain. The squarings form each cross product once, then double them
+// on the ADCX chain while the ADOX chain adds the squares of the limbs, and
+// reduce afterwards. The 8-limb squaring keeps its cross products in
+// registers: the low half of a^2 never leaves them, and the high half waits
+// on the stack for the reduction's final add; the 16-limb squaring builds
+// a^2 in a stack window.
 //
 // Contract, identical for every routine: for a, b < n (n odd, k = 8 or 16
-// limbs), `z` (2k words of scratch, not aliasing a, b or n) receives
-// a * b / 2^(64k) mod n, not yet fully reduced, as the k words z[k .. 2k)
-// and the returned carry word (0 or 1): (carry : z[k .. 2k)) < 2n. The
-// caller's masked final subtraction reduces it. Every routine runs one
-// instruction sequence for every input: no branch and no load or store
-// address depends on a, b or the result, and its loops count limbs only.
-// Which routine runs depends on the CPU (selected()), never on operands.
+// limbs), `out` receives the k words of a * b / 2^(64k) mod n, fully reduced
+// (< n). out may alias a or b (not n); it is written only after the last
+// read of a and b. Each routine ends in a branch-free final subtraction: n
+// is subtracted on one borrow chain and a CMOV on the borrow keeps, limb by
+// limb, the value or the difference. Every routine runs one instruction
+// sequence for every input: no branch and no load or store address depends
+// on a, b or the result, and its loops count limbs only. Which routine runs
+// depends on the CPU (selected()), never on operands.
 #pragma once
 
 #include <cstddef>
@@ -54,34 +58,36 @@ class PortableKernelForTesting {
 
 // Defined only where kBuilt is true, and only called there.
 extern "C" {
-std::uint64_t sgk_mont_mul8_adx(std::uint64_t* z, const std::uint64_t* a,
-                                const std::uint64_t* b, const std::uint64_t* n,
-                                std::uint64_t n0_inv);
-std::uint64_t sgk_mont_mul16_adx(std::uint64_t* z, const std::uint64_t* a,
-                                 const std::uint64_t* b, const std::uint64_t* n,
-                                 std::uint64_t n0_inv);
-std::uint64_t sgk_mont_sqr8_adx(std::uint64_t* z, const std::uint64_t* a,
-                                const std::uint64_t* n, std::uint64_t n0_inv);
-std::uint64_t sgk_mont_sqr16_adx(std::uint64_t* z, const std::uint64_t* a,
-                                 const std::uint64_t* n, std::uint64_t n0_inv);
+void sgk_mont_mul8_adx(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+                       const std::uint64_t* n, std::uint64_t n0_inv);
+void sgk_mont_mul16_adx(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+                        const std::uint64_t* n, std::uint64_t n0_inv);
+void sgk_mont_sqr8_adx(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* n,
+                       std::uint64_t n0_inv);
+void sgk_mont_sqr16_adx(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* n,
+                        std::uint64_t n0_inv);
 }
 
-/// a * b / R into z at K = 8 or 16; see the contract above.
+/// out = a * b / R mod n at K = 8 or 16; see the contract above.
 template <std::size_t K>
-std::uint64_t mul(std::uint64_t* z, const std::uint64_t* a, const std::uint64_t* b,
-                  const std::uint64_t* n, std::uint64_t n0_inv) {
+void mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+         const std::uint64_t* n, std::uint64_t n0_inv) {
   static_assert(K == 8 || K == 16);
-  if constexpr (K == 8) return sgk_mont_mul8_adx(z, a, b, n, n0_inv);
-  return sgk_mont_mul16_adx(z, a, b, n, n0_inv);
+  if constexpr (K == 8)
+    sgk_mont_mul8_adx(out, a, b, n, n0_inv);
+  else
+    sgk_mont_mul16_adx(out, a, b, n, n0_inv);
 }
 
-/// a * a / R into z at K = 8 or 16; see the contract above.
+/// out = a * a / R mod n at K = 8 or 16; see the contract above.
 template <std::size_t K>
-std::uint64_t sqr(std::uint64_t* z, const std::uint64_t* a, const std::uint64_t* n,
-                  std::uint64_t n0_inv) {
+void sqr(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* n,
+         std::uint64_t n0_inv) {
   static_assert(K == 8 || K == 16);
-  if constexpr (K == 8) return sgk_mont_sqr8_adx(z, a, n, n0_inv);
-  return sgk_mont_sqr16_adx(z, a, n, n0_inv);
+  if constexpr (K == 8)
+    sgk_mont_sqr8_adx(out, a, n, n0_inv);
+  else
+    sgk_mont_sqr16_adx(out, a, n, n0_inv);
 }
 
 }  // namespace sgk::adx

@@ -669,15 +669,102 @@ std::vector<BigInt> carry_stress_operands(const BigInt& n, Drbg& rng) {
 }
 
 /// What a context computes from one pair of operands: the product, the
-/// square by the public path's squaring, a squaring chain, and all-ones and
-/// random exponents on the secret path.
+/// square by the public path's squaring, a squaring chain, all-ones and
+/// random exponents on the secret path, and products and powers whose last
+/// Montgomery product is 0 or n - 1.
 std::vector<BigInt> kernel_results(const BigInt& n, const BigInt& a, const BigInt& b,
                                    const BigInt& e) {
   const std::size_t width = 64 * n.limbs().size();
   const MontgomeryCtx pub(n);
   const MontgomeryCtx sec(n, width);
-  return {pub.mul(a, b), pub.exp(a, BigInt(2)), pub.exp(b, BigInt(1) << 100),
-          sec.exp(a, all_ones(width)), sec.exp(b, e)};
+  return {pub.mul(a, b),
+          pub.exp(a, BigInt(2)),
+          pub.exp(b, BigInt(1) << 100),
+          sec.exp(a, all_ones(width)),
+          sec.exp(b, e),
+          pub.mul(BigInt(), b),
+          pub.mul(n - BigInt(1), BigInt(1)),
+          sec.exp(n - BigInt(1), all_ones(width))};
+}
+
+/// -n^{-1} mod 2^64 for odd n0.
+std::uint64_t neg_inverse_64(std::uint64_t n0) {
+  std::uint64_t inv = n0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
+  return 0 - inv;
+}
+
+/// The routines of montgomery_adx.h at K limbs, called directly, against
+/// BigInt: every product and square of xs, with out distinct from the
+/// operands and aliasing a, b or both; products whose result is 0 or n - 1;
+/// and 64 chained in-place squarings from each all-ones operand below n.
+/// Each result must equal x * y / R mod n limb for limb.
+template <std::size_t K>
+void check_routines_limb_for_limb(const BigInt& n, const std::vector<BigInt>& xs) {
+  // The routines exist on x86-64 only; elsewhere the caller skips first.
+  if constexpr (adx::kBuilt) {
+    using Limbs = std::vector<std::uint64_t>;
+    auto padded = [](const BigInt& v) {
+      Limbs l = v.limbs();
+      l.resize(K, 0);
+      return l;
+    };
+    const Limbs nl = padded(n);
+    const std::uint64_t n0_inv = neg_inverse_64(nl[0]);
+    const BigInt r = BigInt(1) << (64 * K);
+    const BigInt r_inv = mod_inverse_euclid(r % n, n);
+    auto want = [&](const BigInt& x, const BigInt& y) { return padded(x * y * r_inv % n); };
+    auto mul = [&](const BigInt& x, const BigInt& y) {
+      Limbs out(K);
+      adx::mul<K>(out.data(), padded(x).data(), padded(y).data(), nl.data(), n0_inv);
+      return out;
+    };
+    for (const BigInt& a : xs) {
+      Limbs out(K);
+      Limbs in_place = padded(a);
+      adx::sqr<K>(out.data(), in_place.data(), nl.data(), n0_inv);
+      adx::sqr<K>(in_place.data(), in_place.data(), nl.data(), n0_inv);
+      EXPECT_EQ(out, want(a, a)) << "square of " << a.to_hex() << " mod " << n.to_hex();
+      EXPECT_EQ(in_place, out) << "in-place square of " << a.to_hex();
+      for (const BigInt& b : xs) {
+        const Limbs al = padded(a);
+        const Limbs bl = padded(b);
+        Limbs over_a = al;
+        Limbs over_b = bl;
+        adx::mul<K>(out.data(), al.data(), bl.data(), nl.data(), n0_inv);
+        adx::mul<K>(over_a.data(), over_a.data(), bl.data(), nl.data(), n0_inv);
+        adx::mul<K>(over_b.data(), al.data(), over_b.data(), nl.data(), n0_inv);
+        EXPECT_EQ(out, want(a, b)) << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
+        EXPECT_EQ(over_a, out) << "out = a: " << a.to_hex() << " * " << b.to_hex();
+        EXPECT_EQ(over_b, out) << "out = b: " << a.to_hex() << " * " << b.to_hex();
+      }
+      Limbs both = padded(a);
+      adx::mul<K>(both.data(), both.data(), both.data(), nl.data(), n0_inv);
+      EXPECT_EQ(both, want(a, a)) << "out = a = b: " << a.to_hex();
+      EXPECT_EQ(mul(BigInt(), a), padded(BigInt())) << "0 * " << a.to_hex();
+    }
+    // (n - 1) * R / R = n - 1, the largest reduced result.
+    EXPECT_EQ(mul(n - BigInt(1), r % n), padded(n - BigInt(1))) << "mod " << n.to_hex();
+    // A product of n's factors is 0 mod n: the all-ones modulus
+    // 2^(64K) - 1 is (2^(32K) - 1)(2^(32K) + 1).
+    if (n == all_ones(64 * K)) {
+      const BigInt low = all_ones(32 * K);
+      const BigInt high = low + BigInt(2);
+      EXPECT_EQ(mul(low, high), padded(BigInt()));
+      EXPECT_EQ(mul(high * r % n, low), padded(BigInt()));
+    }
+    for (const BigInt& x : {all_ones(64 * K - 64), all_ones(64 * K - 1), all_ones(64 * K)}) {
+      if (x >= n) continue;
+      BigInt expect = x;
+      Limbs chain = padded(x);
+      for (int t = 0; t < 64; ++t) {
+        adx::sqr<K>(chain.data(), chain.data(), nl.data(), n0_inv);
+        expect = expect * expect * r_inv % n;
+        ASSERT_EQ(chain, padded(expect))
+            << "squaring " << t + 1 << " of " << x.to_hex() << " mod " << n.to_hex();
+      }
+    }
+  }
 }
 
 TEST(MontgomeryAdx, CarryStressMatchesPortableLimbForLimb) {
@@ -696,9 +783,15 @@ TEST(MontgomeryAdx, CarryStressMatchesPortableLimbForLimb) {
             const adx::PortableKernelForTesting use_portable;
             portable = kernel_results(n, a, b, e);
           }
-          const std::vector<BigInt> want = {
-              a * b % n, a * a % n, oracle_exp(b, BigInt(1) << 100, n),
-              oracle_exp(a, all_ones(width), n), oracle_exp(b, e, n)};
+          const std::vector<BigInt> want = {a * b % n,
+                                            a * a % n,
+                                            oracle_exp(b, BigInt(1) << 100, n),
+                                            oracle_exp(a, all_ones(width), n),
+                                            oracle_exp(b, e, n),
+                                            BigInt(),
+                                            n - BigInt(1),
+                                            n - BigInt(1)};
+          ASSERT_EQ(fast.size(), want.size());
           for (std::size_t i = 0; i < want.size(); ++i) {
             EXPECT_EQ(fast[i].limbs(), portable[i].limbs())
                 << "result " << i << " n " << n.to_hex() << " a " << a.to_hex() << " b "
@@ -707,15 +800,12 @@ TEST(MontgomeryAdx, CarryStressMatchesPortableLimbForLimb) {
           }
         }
       }
+      if (limbs == 8)
+        check_routines_limb_for_limb<8>(n, xs);
+      else
+        check_routines_limb_for_limb<16>(n, xs);
     }
   }
-}
-
-/// -n^{-1} mod 2^64 for odd n0.
-std::uint64_t neg_inverse_64(std::uint64_t n0) {
-  std::uint64_t inv = n0;
-  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
-  return 0 - inv;
 }
 
 template <std::size_t K>
@@ -730,25 +820,24 @@ void check_routine_contract(const BigInt& n, const std::vector<BigInt>& xs) {
     const std::vector<std::uint64_t> nl = padded(n);
     const std::uint64_t n0_inv = neg_inverse_64(nl[0]);
     const BigInt r = BigInt(1) << (64 * K);
-    // (carry : z[K .. 2K)) as a number.
-    auto unreduced = [&](const std::uint64_t* z, std::uint64_t carry) {
-      return BigInt::from_limbs(std::vector<std::uint64_t>(z + K, z + 2 * K)) +
-             (BigInt(carry) << (64 * K));
+    // K result words and a guard word the routine must leave alone.
+    constexpr std::uint64_t kGuard = 0x5a5a5a5a5a5a5a5aULL;
+    auto result = [&](const std::vector<std::uint64_t>& out) {
+      EXPECT_EQ(out[K], kGuard) << "wrote past its k words";
+      return BigInt::from_limbs(std::vector<std::uint64_t>(out.begin(), out.begin() + K));
     };
     for (const BigInt& a : xs) {
       const std::vector<std::uint64_t> al = padded(a);
-      std::uint64_t z[2 * K];
-      const std::uint64_t sq_carry = adx::sqr<K>(z, al.data(), nl.data(), n0_inv);
-      const BigInt sq = unreduced(z, sq_carry);
-      EXPECT_LE(sq_carry, 1u);
-      EXPECT_LT(sq, n + n) << "square of " << a.to_hex() << " mod " << n.to_hex();
+      std::vector<std::uint64_t> out(K + 1, kGuard);
+      adx::sqr<K>(out.data(), al.data(), nl.data(), n0_inv);
+      const BigInt sq = result(out);
+      EXPECT_LT(sq, n) << "square of " << a.to_hex() << " mod " << n.to_hex();
       EXPECT_EQ(sq * r % n, a * a % n) << "square of " << a.to_hex() << " mod " << n.to_hex();
       for (const BigInt& b : xs) {
         const std::vector<std::uint64_t> bl = padded(b);
-        const std::uint64_t carry = adx::mul<K>(z, al.data(), bl.data(), nl.data(), n0_inv);
-        const BigInt prod = unreduced(z, carry);
-        EXPECT_LE(carry, 1u);
-        EXPECT_LT(prod, n + n) << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
+        adx::mul<K>(out.data(), al.data(), bl.data(), nl.data(), n0_inv);
+        const BigInt prod = result(out);
+        EXPECT_LT(prod, n) << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
         EXPECT_EQ(prod * r % n, a * b % n)
             << a.to_hex() << " * " << b.to_hex() << " mod " << n.to_hex();
       }
@@ -756,8 +845,8 @@ void check_routine_contract(const BigInt& n, const std::vector<BigInt>& xs) {
   }
 }
 
-// The routines on their own: (carry : z[k .. 2k)) < 2n and equal to
-// a * b / R mod n before the caller's final subtraction.
+// The routines on their own: out receives a * b / R mod n fully reduced
+// (< n), and nothing past its k words.
 TEST(MontgomeryAdx, RoutinesKeepTheirContractOnCarryStressOperands) {
   if (!adx::selected()) GTEST_SKIP() << kNoAdx;
   for (std::size_t limbs : {8u, 16u}) {

@@ -8,12 +8,15 @@
 // tool: virtual time regenerates them byte for byte, so CI compares each
 // report with its committed baseline by diff.
 //
-// Multi-threaded benches record their thread count in the wallclock env
-// (bench_io --threads). Wall numbers from different thread counts are not
-// comparable, so when both documents record one and they differ, the
-// pairing is refused (exit 2). A document that is not a sgk-bench report
-// or has no wallclock.sites object is refused too; otherwise the exit code
-// is 0.
+// The two documents must come from the same bench (their "bench" keys):
+// wall numbers of different benches time different work, so such a pairing
+// is refused (exit 2) instead of passing as "0 cells compared" or as a
+// comparison of unrelated runs. Multi-threaded benches
+// record their thread count in the wallclock env (bench_io --threads). Wall
+// numbers from different thread counts are not comparable, so when both
+// documents record one and they differ, the pairing is refused (exit 2). A
+// document that is not a sgk-bench report or has no wallclock.sites object
+// is refused too; otherwise the exit code is 0.
 //
 // Usage: bench_gate <baseline.json> <current.json>
 #include <cstdio>
@@ -56,6 +59,12 @@ std::map<std::string, double> wall_cells(const Json& sites) {
     if (const Json* p50 = stats.find("p50_ns"); p50 && p50->is_number())
       cells["wall/" + site + "/p50_ns"] = p50->as_number();
   return cells;
+}
+
+// The report's "bench" key (the bench program's name), or "" when it has none.
+std::string bench_name(const Json& doc) {
+  const Json* bench = doc.find("bench");
+  return bench != nullptr && bench->is_string() ? bench->as_string() : std::string();
 }
 
 // Thread count recorded in the wallclock env by bench_io --threads, or 0
@@ -109,6 +118,16 @@ int main(int argc, char** argv) {
                    path);
       return 2;
     }
+  }
+
+  const std::string base_bench = bench_name(docs[0]);
+  const std::string cur_bench = bench_name(docs[1]);
+  if (base_bench != cur_bench) {
+    std::fprintf(stderr,
+                 "error: the reports come from different benches (baseline "
+                 "'%s' vs current '%s'); their wall sites are not comparable\n",
+                 base_bench.c_str(), cur_bench.c_str());
+    return 2;
   }
 
   // Refuse wall comparisons across different recorded thread counts: those
