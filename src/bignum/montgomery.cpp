@@ -43,9 +43,10 @@ u64 neg_inv64(u64 n) {
   return ~inv + 1;  // -(n^{-1})
 }
 
-// v mod n, without a copy when v is already reduced.
-const BigInt& reduced(const BigInt& v, const BigInt& n, BigInt& scratch) {
-  if (v < n) return v;
+// v, or v mod n when v is wider than n: at most k limbs, which is all the
+// kernel needs. The branch reads only v's (public) width, never its value.
+const BigInt& narrowed(const BigInt& v, const BigInt& n, BigInt& scratch) {
+  if (v.bit_length() <= n.bit_length()) return v;
   scratch = v % n;
   return scratch;
 }
@@ -124,8 +125,9 @@ class Kernel {
 
   std::size_t limbs() const { return K != 0 ? K : mod_.k; }
 
-  /// (base ^ e) mod n for base < n and e > 0. `width` != 0 selects the
-  /// secret path with e padded to `width` bits (e < 2^width).
+  /// (base ^ e) mod n for a base of at most k limbs (base * R^2 < R n, so
+  /// its conversion to Montgomery form is below n) and e > 0. `width` != 0
+  /// selects the secret path with e padded to `width` bits (e < 2^width).
   BigInt exp(const BigInt& base, const BigInt& e, std::size_t width) const {
     Limbs b;
     Limbs acc;
@@ -181,7 +183,9 @@ class Kernel {
     }
   }
 
-  /// (a * b) mod n for a, b < n: REDC(REDC(a * b) * R^2).
+  /// (a * b) mod n for a, b of at most k limbs: REDC(REDC(a * b) * R^2).
+  /// REDC(a * b) is below R, so the second product is below R n and its
+  /// REDC below n: unreduced operands need no reduction of their own.
   BigInt product(const BigInt& a, const BigInt& b) const {
     Limbs x;
     Limbs y;
@@ -469,8 +473,8 @@ void MontgomeryCtx::set_fixed_base(const BigInt& base) {
 BigInt MontgomeryCtx::mul(const BigInt& a, const BigInt& b) const {
   BigInt sa;
   BigInt sb;
-  const BigInt& x = reduced(a, n_, sa);
-  const BigInt& y = reduced(b, n_, sb);
+  const BigInt& x = narrowed(a, n_, sa);
+  const BigInt& y = narrowed(b, n_, sb);
   const Modulus mod{n_.limbs().data(), r2_.data(), n0_inv_, k_};
   return with_kernel(mod, [&](const auto& kernel) { return kernel.product(x, y); });
 }
@@ -495,7 +499,7 @@ BigInt MontgomeryCtx::exp(const BigInt& base, const BigInt& exponent) const {
     });
   }
   BigInt scratch;
-  const BigInt& b = reduced(base, n_, scratch);
+  const BigInt& b = narrowed(base, n_, scratch);
   return with_kernel(mod, [&](const auto& kernel) {
     return kernel.exp(b, exponent, width);
   });

@@ -97,7 +97,10 @@ class MontgomeryCtx {
 
   const BigInt& modulus() const { return n_; }
 
-  /// (a * b) mod n, for a, b already reduced mod n.
+  /// (a * b) mod n, without a branch on the operands' values. The kernel
+  /// takes any operand of at most n's bit length as it is, reduced or not;
+  /// only a wider one, whose width is public, is first reduced by a
+  /// division. exp() treats its base the same way.
   BigInt mul(const BigInt& a, const BigInt& b) const;
 
   /// (base ^ exp) mod n. base need not be reduced.

@@ -56,7 +56,7 @@ BigInt CryptoContext::mul_p(const BigInt& a, const BigInt& b) {
   ++counters_.mod_mul;
   meter_ms_ += cost_.mult_ms(group_.p_bits());
   obs::WallScope wall("bignum/modmul");
-  return a * b % group_.p();
+  return group_.mul(a, b);
 }
 
 Bytes CryptoContext::sign(const Bytes& message) {

@@ -67,7 +67,8 @@ class CryptoContext {
   /// Inverse of a public group element modulo p (BD's z_{i-1}^{-1}), by
   /// mod_inverse's safegcd, whose operation sequence depends on p only.
   BigInt inverse_p(const BigInt& a);
-  /// (a * b) mod p.
+  /// (a * b) mod p by the group's Montgomery context, without a division or
+  /// a branch on the operands' values (BD's ratio and key product).
   BigInt mul_p(const BigInt& a, const BigInt& b);
   /// Reduce an arbitrary value into a usable exponent (tree protocols).
   BigInt to_exponent(const BigInt& v) const { return group_.to_exponent(v); }

@@ -54,6 +54,10 @@ BigInt DhGroup::exp_public(const BigInt& base, const BigInt& e) const {
   return public_ctx_.exp(base, e);
 }
 
+BigInt DhGroup::mul(const BigInt& a, const BigInt& b) const {
+  return ctx_.mul(a, b);
+}
+
 BigInt DhGroup::inverse_q(const BigInt& a) const {
   return mod_inverse(a, q_);
 }

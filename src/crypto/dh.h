@@ -36,6 +36,10 @@ class DhGroup {
   BigInt exp_g(const BigInt& e) const;
   /// (base ^ e) mod p for a public exponent (DSA verification).
   BigInt exp_public(const BigInt& base, const BigInt& e) const;
+  /// (a * b) mod p by MontgomeryCtx::mul, which does not branch on the
+  /// values of operands below 2^|p| (BD folds secret values into its key
+  /// with it).
+  BigInt mul(const BigInt& a, const BigInt& b) const;
 
   /// a^{-1} mod q by mod_inverse's constant-time safegcd, for secret a below
   /// 2^|q| (GDH factor-out, CKD unwrap, the DSA nonce). Throws

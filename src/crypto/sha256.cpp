@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/secure_bytes.h"
+
 namespace sgk {
 
 namespace {
@@ -82,25 +84,39 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
   }
 }
 
-Bytes Sha256::finish() {
+void Sha256::finish_into(Digest& out) {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
+  // buffer_len_ < kBlockSize here: update() compresses every full block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(len_be, 8);
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  process_block(buffer_.data());
 
-  Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
     out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
     out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
-  return out;
+}
+
+Bytes Sha256::finish() {
+  Digest out;
+  finish_into(out);
+  return Bytes(out.begin(), out.end());
+}
+
+void Sha256::wipe() noexcept {
+  secure_zero(state_.data(), sizeof(state_));
+  secure_zero(buffer_.data(), buffer_.size());
+  secure_zero(&buffer_len_, sizeof(buffer_len_));
+  secure_zero(&total_len_, sizeof(total_len_));
 }
 
 Bytes Sha256::digest(const Bytes& data) {

@@ -86,6 +86,7 @@ std::string SecureGroupMember::key_fingerprint() const {
   const ScopedSubkey block(key_.reveal());
   h.update(block.b);
   Bytes digest = h.finish();
+  h.wipe();  // its block buffer still holds the key block's last bytes
   digest.resize(8);
   return to_hex(digest);
 }

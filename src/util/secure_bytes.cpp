@@ -1,12 +1,17 @@
 #include "util/secure_bytes.h"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace sgk {
 
 void secure_zero(void* p, std::size_t len) noexcept {
-  volatile std::uint8_t* q = static_cast<volatile std::uint8_t*>(p);
-  for (std::size_t i = 0; i < len; ++i) q[i] = 0;
+  if (len == 0) return;
+  std::memset(p, 0, len);
+  // The empty asm takes `p` and clobbers memory, so the compiler must assume
+  // the zeroed bytes are read afterwards and cannot drop the memset as a
+  // dead store (the same barrier as glibc's explicit_bzero).
+  __asm__ __volatile__("" : : "r"(p) : "memory");
 }
 
 SecureBytes::SecureBytes(std::size_t n) { assign(nullptr, n); }

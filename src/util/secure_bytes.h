@@ -18,8 +18,9 @@
 
 namespace sgk {
 
-/// Zeroes `len` bytes at `p` in a way the optimizer must not elide (volatile
-/// writes). Safe on len == 0 with p == nullptr.
+/// Zeroes `len` bytes at `p` in a way the optimizer must not elide (a memset
+/// followed by a compiler barrier that reads the memory). Safe on len == 0
+/// with p == nullptr.
 void secure_zero(void* p, std::size_t len) noexcept;
 
 class SecureBytes {

@@ -205,8 +205,12 @@ TEST_P(MontgomeryOracle, MulMatchesSchoolbook) {
     Drbg rng(limbs, "oracle-mul");
     const BigInt n = random_modulus(limbs, rng);
     const MontgomeryCtx ctx(n);
+    // n and all_ones(|n|) are unreduced operands of n's width, which the
+    // kernel takes as they are; 3n + 5 is wider than n and is divided first.
     const std::vector<BigInt> edges = {BigInt(), BigInt(1), n - BigInt(1),
-                                       all_ones(64 * limbs - 1)};
+                                       all_ones(64 * limbs - 1), n,
+                                       all_ones(n.bit_length()),
+                                       n * BigInt(3) + BigInt(5)};
     for (const BigInt& a : edges)
       for (const BigInt& b : edges) EXPECT_EQ(ctx.mul(a, b), a * b % n);
     for (int i = 0; i < 8; ++i) {

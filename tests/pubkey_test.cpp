@@ -56,6 +56,19 @@ TEST(DhGroup, SubgroupClosure) {
   EXPECT_EQ(grp.exp(elem, grp.q()), BigInt(1));
 }
 
+TEST(DhGroup, MulMatchesPlainProduct) {
+  for (DhBits bits : {DhBits::k512, DhBits::k1024}) {
+    const DhGroup& grp = dh_group(bits);
+    const BigInt& p = grp.p();
+    Drbg rng(24, "dh-mul");
+    std::vector<BigInt> operands = {BigInt(0), BigInt(1), p - BigInt(1)};
+    for (int i = 0; i < 16; ++i) operands.push_back(BigInt::random_below(p, rng));
+    for (const BigInt& a : operands)
+      for (const BigInt& b : operands)
+        EXPECT_EQ(grp.mul(a, b), a * b % p) << a.to_hex() << " * " << b.to_hex();
+  }
+}
+
 TEST(Pkcs1, EncodingShape) {
   Bytes em = pkcs1_encode_sha256(str_bytes("msg"), 128);
   EXPECT_EQ(em.size(), 128u);
