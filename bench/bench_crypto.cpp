@@ -27,6 +27,8 @@
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "obs/wallclock.h"
+#include "util/secure_bytes.h"
+#include "util/serde.h"
 
 namespace sgk {
 namespace {
@@ -107,6 +109,21 @@ void run_rows() {
   const Bytes mac_data(1024, 0xab);
   row("BM_HmacSha256", [&] {
     return static_cast<std::size_t>(hmac_sha256(mac_key, mac_data)[0]);
+  });
+
+  // One group-key derivation at SecureGroupMember::deliver_key's shape: an
+  // 8-byte secret, the constant salt keyed at compile time, the group name
+  // and epoch as info, and a 64-byte key block.
+  constexpr HkdfSalt kGroupKeySalt("sgk-group-key");
+  const Bytes secret(8, 0x5a);
+  Writer info;
+  info.str("secure-group");
+  info.u64(42);
+  row("BM_HkdfGroupKey", [&] {
+    SecureBytes key_block(64);
+    hkdf_sha256(secret, kGroupKeySalt, info.data(),
+                {key_block.data(), key_block.size()});
+    return key_block.size();
   });
 
   const Bytes aes_key(16, 0x22), iv(16, 0x33), plain(1024, 0xab);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/secure_bytes.h"
+
 namespace sgk {
 
 namespace {
@@ -25,7 +27,8 @@ inline std::uint32_t load_le32(const std::uint8_t* p) {
 }
 }  // namespace
 
-ChaCha20::ChaCha20(const Bytes& key, const Bytes& nonce, std::uint32_t counter) {
+ChaCha20::ChaCha20(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> nonce, std::uint32_t counter) {
   if (key.size() != kKeySize) throw std::invalid_argument("ChaCha20: key size");
   if (nonce.size() != kNonceSize) throw std::invalid_argument("ChaCha20: nonce size");
   state_[0] = 0x61707865;
@@ -35,6 +38,11 @@ ChaCha20::ChaCha20(const Bytes& key, const Bytes& nonce, std::uint32_t counter) 
   for (int i = 0; i < 8; ++i) state_[4 + i] = load_le32(key.data() + 4 * i);
   state_[12] = counter;
   for (int i = 0; i < 3; ++i) state_[13 + i] = load_le32(nonce.data() + 4 * i);
+}
+
+ChaCha20::~ChaCha20() {
+  secure_zero(state_.data(), sizeof(state_));
+  secure_zero(block_.data(), block_.size());
 }
 
 void ChaCha20::refill() {

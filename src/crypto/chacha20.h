@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -18,7 +19,10 @@ class ChaCha20 {
   static constexpr std::size_t kBlockSize = 64;
 
   /// Throws std::invalid_argument on wrong key/nonce sizes.
-  ChaCha20(const Bytes& key, const Bytes& nonce, std::uint32_t counter = 0);
+  ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8_t> nonce,
+           std::uint32_t counter = 0);
+  /// Wipes the key words and the buffered keystream.
+  ~ChaCha20();
 
   /// Produces the next `len` keystream bytes.
   Bytes keystream(std::size_t len);

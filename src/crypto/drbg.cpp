@@ -1,19 +1,31 @@
 #include "crypto/drbg.h"
 
+#include <array>
+
 #include "crypto/sha256.h"
-#include "util/bytes.h"
+#include "util/secure_bytes.h"
 
 namespace sgk {
 
 namespace {
+// The stream keyed by SHA-256(seed || label). The seed bytes, the hash
+// state and the key are wiped before this returns; the ChaCha20 state holds
+// the key words and wipes them itself.
 ChaCha20 make_stream(std::uint64_t seed, std::string_view label) {
-  Bytes material;
+  std::array<std::uint8_t, 8> seed_bytes;
   for (int i = 0; i < 8; ++i)
-    material.push_back(static_cast<std::uint8_t>(seed >> (56 - 8 * i)));
-  material.insert(material.end(), label.begin(), label.end());
-  Bytes key = Sha256::digest(material);
-  Bytes nonce(ChaCha20::kNonceSize, 0);
-  return ChaCha20(key, nonce);
+    seed_bytes[i] = static_cast<std::uint8_t>(seed >> (56 - 8 * i));
+  Sha256 h;
+  h.update(seed_bytes.data(), seed_bytes.size());
+  h.update(reinterpret_cast<const std::uint8_t*>(label.data()), label.size());
+  Sha256::Digest key;
+  h.finish_into(key);
+  h.wipe();
+  secure_zero(seed_bytes.data(), seed_bytes.size());
+  const std::array<std::uint8_t, ChaCha20::kNonceSize> nonce{};
+  ChaCha20 stream(key, nonce);
+  secure_zero(key.data(), key.size());
+  return stream;
 }
 }  // namespace
 

@@ -25,6 +25,18 @@ constexpr double kRecoveryDelayMs = 20.0;
 // ms). Jitter of up to 25% rides on top, so the true ceiling is 1.25x this.
 constexpr double kRecoveryBackoffCapMs = 2000.0;
 
+// The group key block's HKDF salt. It is public, so it is keyed at compile
+// time and every derivation starts from its midstates.
+constexpr HkdfSalt kGroupKeySalt("sgk-group-key");
+
+// The HKDF info of `group`'s key blocks, with the epoch still zero.
+Bytes derivation_info(const std::string& group) {
+  Writer info;
+  info.str(group);
+  info.u64(0);
+  return info.take();
+}
+
 const RsaPrivateKey& default_rsa(ProcessId self) {
   return RsaPrivateKey::test_key(static_cast<int>(self % 4));
 }
@@ -64,6 +76,7 @@ SecureGroupMember::SecureGroupMember(SpreadNetwork& net, ProcessId self,
       self_(self),
       pki_(std::move(pki)),
       config_(std::move(config)),
+      derivation_info_(derivation_info(config_.group)),
       crypto_(dh_group(config_.dh_bits),
               default_rsa(self),
               config_.cost,
@@ -153,15 +166,15 @@ void SecureGroupMember::mark_point(const char* point_name) {
 
 void SecureGroupMember::deliver_key(const BigInt& group_secret) {
   // Derive a 64-byte key block (16B AES key, 16B IV seed, 32B HMAC key).
-  Bytes material = group_secret.to_bytes();
-  Writer info;
-  info.str(config_.group);
-  info.u64(epoch_);
-  const std::size_t material_size = material.size();
-  pending_key_ = SecureBytes(
-      hkdf_sha256(material, str_bytes("sgk-group-key"), info.take(), 64));
-  secure_zero(material.data(), material.size());
-  crypto_.charge_symmetric(material_size + 64);
+  SecureBytes material(group_secret.byte_length());
+  group_secret.write_bytes({material.data(), material.size()});
+  std::uint8_t* epoch = derivation_info_.data() + derivation_info_.size() - 8;
+  for (int i = 0; i < 8; ++i)
+    epoch[i] = static_cast<std::uint8_t>(epoch_ >> (56 - 8 * i));
+  SecureBytes& key = pending_key_.emplace(64);
+  hkdf_sha256({material.data(), material.size()}, kGroupKeySalt,
+              derivation_info_, {key.data(), key.size()});
+  crypto_.charge_symmetric(material.size() + 64);
   protocol_->note_key_delivered();
 }
 

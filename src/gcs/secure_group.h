@@ -256,6 +256,9 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   ProcessId self_;
   std::shared_ptr<Pki> pki_;
   MemberConfig config_;
+  // HKDF info of the group key block: the group name as Writer::str frames
+  // it, then the epoch as Writer::u64 does. deliver_key rewrites the epoch.
+  Bytes derivation_info_;
   CryptoContext crypto_;
   std::unique_ptr<KeyAgreement> protocol_;
 

@@ -4,12 +4,14 @@
 
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "util/bytes.h"
+#include "util/secure_bytes.h"
 
 namespace sgk {
 namespace {
@@ -552,6 +554,100 @@ TEST(HkdfOracle, OutputLengthsToTheMaximum) {
   }
 }
 
+// The constant salt keyed at compile time, as SecureGroupMember uses it.
+constexpr HkdfSalt kGroupKeySalt("sgk-group-key");
+
+// The keyed-salt overload, into zeroizing storage of `out_len` bytes.
+SecureBytes keyed_hkdf(const Bytes& ikm, const HkdfSalt& salt, const Bytes& info,
+                       std::size_t out_len) {
+  SecureBytes keyed_okm(out_len);
+  hkdf_sha256(ikm, salt, info, {keyed_okm.data(), keyed_okm.size()});
+  return keyed_okm;
+}
+
+Bytes rfc5869_case2(std::uint8_t first) {
+  Bytes out(80);
+  for (std::size_t i = 0; i < 80; ++i) out[i] = static_cast<std::uint8_t>(first + i);
+  return out;
+}
+
+// RFC 5869 test cases 1-3 through the keyed-salt overload: a 13-byte salt,
+// an 80-byte one (hashed to its key block) and an empty one.
+TEST(HkdfSalt, Rfc5869Cases) {
+  EXPECT_TRUE(ct_equal(
+      keyed_hkdf(Bytes(22, 0x0b), HkdfSalt(from_hex("000102030405060708090a0b0c")),
+                 from_hex("f0f1f2f3f4f5f6f7f8f9"), 42),
+      from_hex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+               "34007208d5b887185865")));
+  EXPECT_TRUE(ct_equal(
+      keyed_hkdf(rfc5869_case2(0x00), HkdfSalt(rfc5869_case2(0x60)),
+                 rfc5869_case2(0xb0), 82),
+      from_hex("b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+               "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+               "cc30c58179ec3e87c14c01d5c1f3434f1d87")));
+  const Bytes case3 = from_hex(
+      "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+      "9d201395faa4b61a96c8");
+  EXPECT_TRUE(ct_equal(keyed_hkdf(Bytes(22, 0x0b), HkdfSalt(Bytes{}), {}, 42), case3));
+  constexpr HkdfSalt empty_constant("");
+  EXPECT_TRUE(ct_equal(keyed_hkdf(Bytes(22, 0x0b), empty_constant, {}, 42), case3));
+}
+
+// The keyed-salt overload is the one-shot HKDF: for the constant salt keyed
+// at compile time, and for run-time salts of 0, 64 and 65 bytes (the RFC's
+// default, a full key block, and one hashed first). Every ikm length 0..200
+// runs at the output lengths around each T(i) boundary, and every output
+// length 1..128 at ikm lengths around each block boundary.
+TEST(HkdfSalt, KeyedSaltMatchesOneShot) {
+  const std::pair<Bytes, HkdfSalt> salts[] = {
+      {str_bytes("sgk-group-key"), kGroupKeySalt},
+      {Bytes{}, HkdfSalt(Bytes{})},
+      {k_prefix(64), HkdfSalt(k_prefix(64))},
+      {k_prefix(65), HkdfSalt(k_prefix(65))},
+  };
+  const Bytes info = message_prefix(20);
+  auto same = [&](const Bytes& salt_bytes, const HkdfSalt& salt,
+                  std::size_t ikm_len, std::size_t out_len) {
+    const Bytes ikm = message_prefix(ikm_len);
+    EXPECT_TRUE(ct_equal(keyed_hkdf(ikm, salt, info, out_len),
+                         hkdf_sha256(ikm, salt_bytes, info, out_len)))
+        << "salt " << salt_bytes.size() << " bytes, ikm " << ikm_len
+        << ", out " << out_len;
+  };
+  for (const auto& [salt_bytes, salt] : salts) {
+    for (std::size_t ikm_len = 0; ikm_len <= 200; ++ikm_len)
+      for (std::size_t out_len : {1, 31, 32, 33, 63, 64, 65, 128})
+        same(salt_bytes, salt, ikm_len, out_len);
+    for (std::size_t out_len = 1; out_len <= 128; ++out_len)
+      for (std::size_t ikm_len : {0, 8, 55, 56, 64, 65, 200})
+        same(salt_bytes, salt, ikm_len, out_len);
+  }
+}
+
+// The compile-time midstates recomputed two ways at run time: keying the
+// same salt at run time, and plain SHA-256 over (K ^ pad) || m, which must
+// equal the hash resumed from the midstate over m.
+TEST(HkdfSalt, ConstantMidstatesMatchRunTimeKeying) {
+  const HkdfSalt run_time(str_bytes("sgk-group-key"));
+  EXPECT_EQ(kGroupKeySalt.midstates().inner, run_time.midstates().inner);
+  EXPECT_EQ(kGroupKeySalt.midstates().outer, run_time.midstates().outer);
+
+  const Bytes m = message_prefix(100);
+  const std::pair<Sha256::State, std::uint8_t> pads[] = {
+      {kGroupKeySalt.midstates().inner, 0x36},
+      {kGroupKeySalt.midstates().outer, 0x5c},
+  };
+  for (const auto& [midstate, pad] : pads) {
+    Bytes padded = str_bytes("sgk-group-key");
+    padded.resize(Sha256::kBlockSize, 0);
+    for (std::uint8_t& b : padded) b ^= pad;
+    padded.insert(padded.end(), m.begin(), m.end());
+    Sha256 resumed(midstate);
+    resumed.update(m);
+    EXPECT_EQ(resumed.finish(), Sha256::digest(padded)) << "pad " << int{pad};
+  }
+}
+
 // RFC 8439 section 2.4.2 test vector.
 TEST(ChaCha20, Rfc8439Encryption) {
   Bytes key = from_hex(
@@ -617,6 +713,30 @@ TEST(Drbg, NextDoubleInUnitInterval) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
+}
+
+// A Drbg is the ChaCha20 stream (zero nonce, counter 0) keyed by
+// SHA-256(seed as 8 big-endian bytes || label). The first 80 bytes cross a
+// block boundary; the hex pins the stream and a fork of it byte for byte.
+TEST(Drbg, StreamIsChaCha20KeyedBySha256OfSeedAndLabel) {
+  const std::uint64_t seed = 0x0123456789abcdefULL;
+  Drbg rng(seed, "member");
+  std::uint8_t got[80];
+  rng.fill(got, sizeof(got));
+  Bytes seed_and_label = from_hex("0123456789abcdef");
+  const Bytes label = str_bytes("member");
+  seed_and_label.insert(seed_and_label.end(), label.begin(), label.end());
+  ChaCha20 stream(Sha256::digest(seed_and_label), Bytes(ChaCha20::kNonceSize, 0));
+  EXPECT_EQ(to_hex(Bytes(got, got + sizeof(got))), to_hex(stream.keystream(80)));
+  EXPECT_EQ(to_hex(Bytes(got, got + sizeof(got))),
+            "96b325b95d6399d106fcbd18bf00ca06a2e543f25e64a2d0c65ef50d501f4113"
+            "3f3ae2e92c2f30e79da020671f32b2d58e45967ceb3e2a44806321f6e41dd30f"
+            "88029efa43862d31aa0b1ee8b125d391");
+  Drbg child = rng.fork("child");
+  std::uint8_t forked[16];
+  child.fill(forked, sizeof(forked));
+  EXPECT_EQ(to_hex(Bytes(forked, forked + sizeof(forked))),
+            "ff4bcfb8b82409c085e7eb1d4483b928");
 }
 
 TEST(Drbg, ForkIndependentOfSiblingOrder) {

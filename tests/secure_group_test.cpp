@@ -1,6 +1,7 @@
 // SecureGroupMember data-plane and framing tests.
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
 #include "tests/protocol_harness.h"
 #include "util/serde.h"
 
@@ -8,6 +9,26 @@ namespace sgk {
 namespace {
 
 using testing::ProtocolFixture;
+
+// The key block deliver_key installs is HKDF-SHA256 of the group secret
+// under the salt "sgk-group-key", with the group name and the epoch as
+// info, however the call site keys that salt. The null protocol's group
+// secret at epoch E is E + 1. Keys are compared in constant time and never
+// printed.
+TEST(SecureGroup, InstalledKeyIsHkdfOfTheGroupSecret) {
+  ProtocolFixture f(ProtocolKind::kNone);
+  f.grow_to(3);
+  for (SecureGroupMember* m : f.alive()) {
+    ASSERT_TRUE(m->has_key());
+    const std::uint64_t epoch = m->key_epoch();
+    Writer info;
+    info.str("secure-group");
+    info.u64(epoch);
+    const SecureBytes expect(hkdf_sha256(BigInt(epoch + 1).to_bytes(),
+                                         str_bytes("sgk-group-key"), info.take(), 64));
+    EXPECT_TRUE(ct_equal(m->key(), expect)) << "member " << m->id() << ", epoch " << epoch;
+  }
+}
 
 TEST(SecureGroup, DataBeforeKeyIsRejected) {
   ProtocolFixture f(ProtocolKind::kTgdh);
