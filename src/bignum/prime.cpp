@@ -86,10 +86,11 @@ SchnorrGroup generate_schnorr_group(std::size_t p_bits, std::size_t q_bits,
     if (is_probable_prime(p, rng)) break;
   }
   const BigInt k = (p - BigInt(1)) / q;
+  const MontgomeryCtx ctx(p);
   BigInt g;
   for (;;) {
     BigInt h = mod_add(BigInt::random_below(p - BigInt(3), rng), BigInt(2), p);
-    g = mod_exp(h, k, p);
+    g = ctx.exp(h, k);
     if (g != BigInt(1)) break;
   }
   return {p, q, g};

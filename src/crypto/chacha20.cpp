@@ -1,5 +1,6 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/secure_bytes.h"
@@ -68,21 +69,23 @@ void ChaCha20::refill() {
   block_pos_ = 0;
 }
 
-Bytes ChaCha20::keystream(std::size_t len) {
-  Bytes out;
-  out.reserve(len);
-  while (out.size() < len) {
-    if (block_pos_ == kBlockSize) refill();
-    out.push_back(block_[block_pos_++]);
-  }
-  return out;
+void ChaCha20::keystream(std::span<std::uint8_t> out) {
+  std::fill(out.begin(), out.end(), std::uint8_t{0});
+  process(out);
 }
 
-Bytes ChaCha20::process(const Bytes& data) {
-  Bytes ks = keystream(data.size());
-  Bytes out(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = data[i] ^ ks[i];
-  return out;
+void ChaCha20::process(std::span<std::uint8_t> data) {
+  std::uint8_t* out = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    if (block_pos_ == kBlockSize) refill();
+    const std::size_t n = std::min(kBlockSize - block_pos_, left);
+    const std::uint8_t* ks = block_.data() + block_pos_;
+    for (std::size_t i = 0; i < n; ++i) out[i] ^= ks[i];
+    block_pos_ += n;
+    out += n;
+    left -= n;
+  }
 }
 
 }  // namespace sgk

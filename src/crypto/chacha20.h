@@ -24,11 +24,12 @@ class ChaCha20 {
   /// Wipes the key words and the buffered keystream.
   ~ChaCha20();
 
-  /// Produces the next `len` keystream bytes.
-  Bytes keystream(std::size_t len);
+  /// Writes the next `out.size()` keystream bytes into `out`.
+  void keystream(std::span<std::uint8_t> out);
 
-  /// XORs `data` with the keystream (encrypt == decrypt).
-  Bytes process(const Bytes& data);
+  /// XORs the next `data.size()` keystream bytes into `data` in place
+  /// (encrypt == decrypt).
+  void process(std::span<std::uint8_t> data);
 
  private:
   void refill();

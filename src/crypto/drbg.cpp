@@ -33,8 +33,7 @@ Drbg::Drbg(std::uint64_t seed, std::string_view label)
     : stream_(make_stream(seed, label)) {}
 
 void Drbg::fill(std::uint8_t* out, std::size_t len) {
-  Bytes ks = stream_.keystream(len);
-  std::copy(ks.begin(), ks.end(), out);
+  stream_.keystream({out, len});
   bytes_generated_ += len;
 }
 

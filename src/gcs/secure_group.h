@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,37 +29,29 @@
 
 namespace sgk {
 
-/// Public-key directory shared by all members (the paper assumes long-term
-/// keys are certified out of band).
+/// Public-key directory shared by the members of one simulation run (the
+/// paper assumes long-term keys are certified out of band).
 class Pki {
-  // The one structure the multi-group server genuinely shares across worker
-  // threads: every group's members enroll into and verify against the same
-  // directory, concurrently. Hence a real guard rather than the historical
-  // SGK_CONFINED_TO_RUN marker. Process ids are globally unique across
-  // groups (SpreadParams::first_process_id), so entries never collide.
+  // Owned by one run: a multi-group server hands each GroupHost its own, so
+  // only that group's replay enrolls into it and verifies against it, and
+  // the executor's epoch barrier orders the slices of that replay.
+  SGK_CONFINED_TO_RUN;
 
  public:
-  void enroll(ProcessId p, VerifyKey key) SGK_EXCLUDES(pki_mu_) {
-    std::lock_guard<std::mutex> lock(pki_mu_);
+  void enroll(ProcessId p, VerifyKey key) {
     // Owned copies: verification must keep working for messages from members
     // that have since been destroyed. (DsaPublicKey holds a reference and is
     // not assignable, hence erase + emplace.)
     keys_.erase(p);
     keys_.emplace(p, std::move(key));
   }
-  const VerifyKey* find(ProcessId p) const SGK_EXCLUDES(pki_mu_) {
-    std::lock_guard<std::mutex> lock(pki_mu_);
-    // Returning a pointer out of the lock is sound: std::map nodes are
-    // pointer-stable, a process id is enrolled at most once per run, and
-    // enroll() never mutates an existing node (erase of an absent key is a
-    // no-op by the uniqueness invariant above).
+  const VerifyKey* find(ProcessId p) const {
     auto it = keys_.find(p);
     return it == keys_.end() ? nullptr : &it->second;
   }
 
  private:
-  mutable std::mutex pki_mu_;
-  std::map<ProcessId, VerifyKey> keys_ SGK_GUARDED_BY(pki_mu_);
+  std::map<ProcessId, VerifyKey> keys_;
 };
 
 struct MemberConfig {

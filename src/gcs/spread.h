@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,9 +56,8 @@ struct SpreadParams {
   // Fixed at network construction; read-only during the run.
   SGK_CONFINED_TO_RUN;
   /// First ProcessId this network hands out. A multi-group server gives each
-  /// group's network a disjoint id block so process ids are globally unique
-  /// and structures shared across groups (the Pki, aggregate stats) can key
-  /// on them without collisions.
+  /// group's network a disjoint id block so process ids, which appear in
+  /// views, signatures and reports, are globally unique.
   ProcessId first_process_id = 0;
   /// Event-coalescing rekey pipeline (see rekey_batcher.h). Disabled by
   /// default: membership events trigger immediate view updates, exactly the
@@ -268,46 +266,22 @@ class SpreadNetwork {
   std::uint64_t unicast_mutation_units_ = 0;  // see unicast() mutation point
 };
 
-/// Aggregate transport counters shared by every group a multi-group server
-/// hosts. Each per-group SpreadNetwork stays strictly run-confined; workers
-/// fold a finished network's totals into this one mutex-guarded sink, so the
-/// only cross-thread transport state carries a real lock rather than a
-/// confinement marker.
-class SharedSpreadStats {
- public:
-  /// Adds `net`'s lifetime totals. Called once per network, from whichever
-  /// worker (or the main thread) finalizes its group.
-  ///
-  /// Fields and accessors deliberately do NOT reuse SpreadNetwork's names
-  /// (messages_stamped et al.): the capability analyses (gka_lint GKA5xx,
-  /// Clang -Wthread-safety via the guard map) match by bare identifier, so
-  /// a guarded `stamped_total_` must not share a name with the per-network
-  /// run-confined counter it aggregates.
-  void absorb(const SpreadNetwork& net) SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++networks_absorbed_;
-    stamped_total_ += net.messages_stamped();
-    processes_total_ += static_cast<std::uint64_t>(net.process_count());
-  }
+/// Aggregate transport counters over every group a multi-group server
+/// hosts. Each group's finalize() absorbs its network once, on the main
+/// thread, in ascending group id, so the totals need no lock.
+struct SharedSpreadStats {
+  // Owned by the server; written only in its main-thread finalize fold.
+  SGK_CONFINED_TO_RUN;
+  std::uint64_t networks_absorbed = 0;
+  std::uint64_t stamped_total = 0;
+  std::uint64_t processes_total = 0;
 
-  std::uint64_t networks_absorbed() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return networks_absorbed_;
+  /// Adds `net`'s lifetime totals.
+  void absorb(const SpreadNetwork& net) {
+    ++networks_absorbed;
+    stamped_total += net.messages_stamped();
+    processes_total += static_cast<std::uint64_t>(net.process_count());
   }
-  std::uint64_t stamped_total() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stamped_total_;
-  }
-  std::uint64_t processes_total() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return processes_total_;
-  }
-
- private:
-  mutable std::mutex stats_mu_;
-  std::uint64_t networks_absorbed_ SGK_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t stamped_total_ SGK_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t processes_total_ SGK_GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace sgk

@@ -5,13 +5,14 @@
 // deadline for the chaos and fuzz soaks and the scenario tests.
 //
 // Isolation is the determinism mechanism: everything a host touches while
-// advancing is owned by the host, except two structures with real locks —
-// the server-wide Pki (process ids are globally unique thanks to the host's
-// disjoint SpreadParams::first_process_id block) and the SharedSpreadStats
-// sink it reports into at finalize. Each epoch a host is advanced by exactly
-// one worker (whichever claimed it; it may be a different one next epoch),
-// with the executor's barrier ordering epochs — hence SGK_CONFINED_TO_RUN on
-// the class itself.
+// advancing is owned by the host, its Pki included (the server hands each
+// host a fresh one; process ids stay disjoint across groups thanks to the
+// host's SpreadParams::first_process_id block). At finalize, on the main
+// thread, the host folds its transport totals into the server's
+// SharedSpreadStats. Each epoch a host is advanced by exactly one worker
+// (whichever claimed it; it may be a different one next epoch), with the
+// executor's barrier ordering epochs — hence SGK_CONFINED_TO_RUN on the
+// class itself.
 #pragma once
 
 #include <cstdint>
@@ -133,15 +134,16 @@ struct GroupReport {
 
 class GroupHost final : public fault::ChurnTarget {
   // Advanced by exactly one worker per epoch, not always the same one (the
-  // executor's epoch barrier separates slices). Shared structures it touches
-  // (Pki, SharedSpreadStats) carry their own locks.
+  // executor's epoch barrier separates slices). It shares nothing mutable
+  // with other hosts: its Pki is its own, and SharedSpreadStats is only
+  // touched by finalize() on the main thread.
   SGK_CONFINED_TO_RUN;
 
  public:
   /// Builds the deployment and schedules member onboarding at
   /// `spec.onboard_at_ms` plus the seeded churn plan after it. `pki` is the
-  /// server-wide public-key directory shared across groups; `first_pid` is
-  /// this group's disjoint process-id block.
+  /// group's own public-key directory; `first_pid` is this group's disjoint
+  /// process-id block.
   GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
             ProcessId first_pid, const Topology& topology);
   ~GroupHost() override;
@@ -180,8 +182,8 @@ class GroupHost final : public fault::ChurnTarget {
   const GroupSpec& spec() const { return spec_; }
 
   /// Checks invariants, absorbs transport totals into `shared` (when given)
-  /// and builds the report. Call once, after done(), from the finalizing
-  /// thread.
+  /// and builds the report. Call once, after done(), from the thread that
+  /// owns `shared`.
   GroupReport finalize(SharedSpreadStats* shared);
 
   /// This group's private metrics registry (merged into the session

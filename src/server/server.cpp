@@ -20,8 +20,7 @@ constexpr int kMachinesPerGroup = 4;
 
 }  // namespace
 
-GroupServer::GroupServer(ServerConfig config)
-    : config_(std::move(config)), pki_(std::make_shared<Pki>()) {
+GroupServer::GroupServer(ServerConfig config) : config_(std::move(config)) {
   SGK_CHECK(config_.groups >= 1);
   SGK_CHECK(config_.members_per_group >= 2);
   SGK_CHECK(config_.threads >= 1);
@@ -88,7 +87,7 @@ ServerResult GroupServer::run() {
             if (!slot) {
               if (specs[gid].onboard_at_ms > t) continue;
               slot = std::make_unique<GroupHost>(
-                  specs[gid], pki_,
+                  specs[gid], std::make_shared<Pki>(),
                   static_cast<ProcessId>(gid) * kPidStride, topo);
             }
             if (slot->done()) continue;
@@ -171,8 +170,8 @@ ServerResult GroupServer::run() {
       obs::sample_quantile(batch_event_to_key_ms, 0.50);
   result.batch_event_to_key_p99_ms =
       obs::sample_quantile(batch_event_to_key_ms, 0.99);
-  result.shared_messages_stamped = shared_stats_.stamped_total();
-  result.shared_processes = shared_stats_.processes_total();
+  result.shared_messages_stamped = shared_stats_.stamped_total;
+  result.shared_processes = shared_stats_.processes_total;
   if (ambient != nullptr) {
     ambient->counter("server/epochs").add(result.epochs_executed);
     ambient->counter("server/groups_hosted").add(result.groups_hosted);

@@ -4,8 +4,8 @@
 //
 // Execution model (docs/multi_group.md has the long form):
 //  * Every group gets its own seeded schedule (Simulator + SpreadNetwork +
-//    churn plan derived from fault_hash(seed, gid)) and a disjoint
-//    process-id block.
+//    churn plan derived from fault_hash(seed, gid)), its own Pki and a
+//    disjoint process-id block: groups share no mutable state.
 //  * Time advances on a fixed epoch grid (epoch_window_ms). Each epoch, the
 //    ShardExecutor runs the epoch closure once on every worker: workers claim
 //    group ids from a shared cursor until all are claimed, so each group is
@@ -110,9 +110,10 @@ struct ServerResult {
 class GroupServer {
   // Orchestrator state is main-thread-owned, and the hosts are the only
   // per-group state: workers only ever touch the host slots they claimed
-  // this epoch (via the epoch closure) plus the individually locked shared
-  // structures (Pki, SharedSpreadStats). The epoch barrier orders every slot
-  // hand-off; the report is folded from the hosts' finalize() reports.
+  // this epoch (via the epoch closure), and each host owns its Pki. The
+  // epoch barrier orders every slot hand-off; the report, and the shared
+  // transport totals, are folded from the hosts' finalize() on the main
+  // thread.
   SGK_CONFINED_TO_RUN;
 
  public:
@@ -137,7 +138,6 @@ class GroupServer {
   GroupSpec spec_for(GroupId gid) const;
 
   ServerConfig config_;
-  std::shared_ptr<Pki> pki_;
   SharedSpreadStats shared_stats_;
   std::vector<std::unique_ptr<GroupHost>> hosts_;  // by gid; claimed per epoch
   bool ran_ = false;

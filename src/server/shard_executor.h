@@ -4,9 +4,9 @@
 // The multi-group server's epoch closure hands every group to exactly one
 // worker per epoch (workers claim group ids from a shared atomic cursor), so
 // within an epoch no two workers ever touch the same group. The executor's
-// own shared state is the epoch hand-off — a generation counter and a
-// remaining-workers count, both behind pool_mu_ with real SGK_GUARDED_BY
-// guards (gka_lint GKA5xx and Clang -Wthread-safety both verify them).
+// own shared state is the epoch hand-off: one std::barrier for the workers
+// plus the calling thread, which every epoch crosses twice — once to start
+// the workers on the task, once to collect them when they are done.
 //
 // Determinism: the barrier gives run_epoch() release/acquire semantics — all
 // worker writes in epoch N happen-before the caller's reads after
@@ -17,10 +17,8 @@
 // in which epoch.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
+#include <barrier>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,6 +27,12 @@
 namespace sgk::server {
 
 class ShardExecutor {
+  // Owned by one GroupServer::run. The task pointer and the stop flag are
+  // written only by the owning thread, before it arrives at the barrier that
+  // starts an epoch (or releases the workers to exit); the workers read them
+  // only after that barrier phase completes, so the barrier orders both.
+  SGK_CONFINED_TO_RUN;
+
  public:
   /// `threads` >= 1. With one thread no workers are spawned and epochs run
   /// inline on the calling thread (the determinism reference path).
@@ -41,24 +45,19 @@ class ShardExecutor {
   int threads() const { return threads_; }
 
   /// Runs `fn(worker)` once for every worker index in [0, threads()) and
-  /// returns after all of them finished (the epoch barrier). `fn` must
-  /// confine itself to state no other worker touches in this epoch (plus
-  /// properly guarded shared structures). Not reentrant.
+  /// returns after all of them finished (the epoch barrier). Worker index w
+  /// runs on the same thread in every epoch. `fn` must confine itself to
+  /// state no other worker touches in this epoch. Not reentrant.
   void run_epoch(const std::function<void(int)>& fn);
 
  private:
   void worker_loop(int worker);
 
   const int threads_;
+  std::barrier<> epoch_;  // threads_ workers + the calling thread
+  const std::function<void(int)>* task_ = nullptr;
+  bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;  // workers wait for a new generation
-  std::condition_variable done_cv_;  // caller waits for remaining_ == 0
-  const std::function<void(int)>* task_ SGK_GUARDED_BY(pool_mu_) = nullptr;
-  std::uint64_t generation_ SGK_GUARDED_BY(pool_mu_) = 0;
-  int remaining_ SGK_GUARDED_BY(pool_mu_) = 0;
-  bool stop_ SGK_GUARDED_BY(pool_mu_) = false;
 };
 
 }  // namespace sgk::server

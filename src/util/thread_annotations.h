@@ -1,75 +1,24 @@
-// Lightweight lock-discipline annotations, checked twice:
+// Concurrency classification for mutable structures under src/sim, src/gcs
+// and src/server, checked by gka_lint's GKA504.
 //
-//   1. by gka_lint's GKA5xx whole-program lock-set analysis (which reads the
-//      un-expanded SGK_* tokens straight from the lexer model, so the checks
-//      run on every compiler and in CI's static-analysis job), and
-//   2. by Clang's native -Wthread-safety analysis when the tree is built with
-//      clang and SGK_THREAD_SAFETY=ON (the macros expand to the attributes
-//      below; under any other compiler they expand to nothing).
-//
-// Usage:
-//
-//   class Registry {
-//    public:
-//     void bump() SGK_REQUIRES(mu_);          // caller must hold mu_
-//     void lock() SGK_ACQUIRE(mu_);           // takes mu_; caller releases
-//     void unlock() SGK_RELEASE(mu_);
-//     std::mutex mu_;
-//    private:
-//     int count_ SGK_GUARDED_BY(mu_) = 0;     // only touch with mu_ held
-//   };
+// Groups share no mutable state (docs/multi_group.md), so these subsystems
+// take no locks. Every mutable structure there instead carries this marker,
+// claiming it is owned by one simulation run (one group's replay, or the
+// orchestrator that drives it) and touched by one thread at a time, with the
+// executor's epoch barrier ordering any hand-off between threads:
 //
 //   class Simulator {
-//     SGK_CONFINED_TO_RUN;  // classification: owned by one run, never shared
+//     SGK_CONFINED_TO_RUN;  // owned by one run, never shared
 //     ...
 //   };
 //
-// SGK_CONFINED_TO_RUN is gka_lint-only (GKA504): it marks a mutable sim/gcs
-// structure as deliberately confined to a single simulation run / worker
-// thread, so it needs no mutex. Every mutable structure under src/sim and
-// src/gcs must either guard its fields with SGK_GUARDED_BY or carry this
-// marker — unclassified shared state is a GKA504 error.
+// An unclassified mutable structure, or one that holds a mutex or condition
+// variable, is a GKA504 error.
 #pragma once
 
-#if defined(__clang__)
-#define SGK_THREAD_ANNOTATION_ATTRIBUTE(x) __attribute__((x))
-#else
-#define SGK_THREAD_ANNOTATION_ATTRIBUTE(x)  // expands to nothing
-#endif
-
-/// Marks a type as a lockable capability (e.g. a mutex wrapper).
-#define SGK_CAPABILITY(x) SGK_THREAD_ANNOTATION_ATTRIBUTE(capability(x))
-
-/// Data member that must only be read or written with `x` held.
-#define SGK_GUARDED_BY(x) SGK_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
-
-/// Pointer member whose *pointee* is guarded by `x`.
-#define SGK_PT_GUARDED_BY(x) SGK_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
-
-/// Function that requires the caller to already hold the capability.
-#define SGK_REQUIRES(...) \
-  SGK_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-
-/// Function that acquires the capability and returns with it held.
-#define SGK_ACQUIRE(...) \
-  SGK_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-
-/// Function that releases a capability the caller holds on entry.
-#define SGK_RELEASE(...) \
-  SGK_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-
-/// Function that must NOT be called with the capability held (deadlock fence).
-#define SGK_EXCLUDES(...) \
-  SGK_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
-
-/// Escape hatch for functions the analysis cannot model; use sparingly and
-/// justify in a comment.
-#define SGK_NO_THREAD_SAFETY_ANALYSIS \
-  SGK_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
-
 /// gka_lint-only classification marker (GKA504): this mutable structure is
-/// confined to a single simulation run / worker thread by construction and
-/// intentionally carries no locks. Expands to a harmless declaration so it
-/// can sit inside a class body followed by ';'.
+/// confined to a single simulation run by construction and carries no
+/// locks. Expands to a harmless declaration so it can sit inside a class
+/// body followed by ';'.
 #define SGK_CONFINED_TO_RUN \
   static_assert(true, "sgk: confined to one simulation run")

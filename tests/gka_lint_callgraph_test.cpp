@@ -1,8 +1,8 @@
 // Direct unit tests for the cross-TU call graph (tools/gka_lint/callgraph),
 // below the rule layer: name-merged definition lookup, callee extraction,
-// the any-overload merge of InterprocView, and the lock-fact maps. The rule
-// tests (gka_lint_test.cpp) cover the same machinery end-to-end; these pin
-// the graph's own contract so a regression is attributed to the right layer.
+// and the any-overload merge of InterprocView. The rule tests
+// (gka_lint_test.cpp) cover the same machinery end-to-end; these pin the
+// graph's own contract so a regression is attributed to the right layer.
 #include "gka_lint/callgraph.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@ using gka_lint::CallGraph;
 using gka_lint::FileModel;
 using gka_lint::FunctionRef;
 using gka_lint::InterprocView;
-using gka_lint::LockFacts;
 using gka_lint::SummaryMap;
 using gka_lint::TaintSummary;
 
@@ -87,32 +86,6 @@ TEST(CallGraph, InterprocViewMergesSummariesTrueIfAny) {
   EXPECT_TRUE(iv.param_to_branch("handle", 0));  // any-overload merge
   EXPECT_FALSE(iv.param_to_return("handle", 0));
   EXPECT_FALSE(iv.returns_tainted("handle"));
-}
-
-TEST(CallGraph, LockFactsMergeDeclarationsByNameAndInferEffects) {
-  // The SGK_REQUIRES declaration lives in the header model; the inferred
-  // acquire effect comes from a bare lock() in another TU's helper.
-  const auto models = build_models({
-      {"src/gcs/r.h",
-       "class R {\n"
-       "  void bump() SGK_REQUIRES(mu_);\n"
-       "  std::mutex mu_;\n"
-       "};\n"},
-      {"src/gcs/r.cpp",
-       "void R::grab() {\n"
-       "  mu_.lock();\n"
-       "}\n"},
-  });
-  CallGraph cg;
-  cg.build(models);
-  const LockFacts facts = gka_lint::compute_lock_facts(models, cg);
-
-  ASSERT_EQ(facts.needs.count("bump"), 1u);
-  EXPECT_EQ(facts.needs.at("bump").count("mu_"), 1u);
-  // grab() never declared SGK_ACQUIRE, but its net effect is inferred.
-  ASSERT_EQ(facts.acq_eff.count("grab"), 1u);
-  EXPECT_EQ(facts.acq_eff.at("grab").count("mu_"), 1u);
-  EXPECT_EQ(facts.acq_decl.count("grab"), 0u);
 }
 
 }  // namespace

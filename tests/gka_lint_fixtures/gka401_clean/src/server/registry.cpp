@@ -1,7 +1,7 @@
 namespace sgk::server {
 
 // Namespace-scope constants are fine; mutable tallies live in classified
-// per-run (or mutex-guarded) structures.
+// per-run structures.
 constexpr int kMaxShards = 16;
 
 struct OnboardTally {

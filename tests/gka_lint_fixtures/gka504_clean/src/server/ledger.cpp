@@ -2,23 +2,18 @@
 
 namespace sgk::server {
 
-// Classified the cross-thread way: workers publish into this ledger, so the
-// field carries a real guard instead of a confinement marker.
+// Classified: each group keeps its own ledger, advanced by whichever worker
+// claimed the group this epoch (the epoch barrier orders the hand-offs), so
+// it needs no lock. The server folds the ledgers on the main thread.
 class EpochLedger {
- public:
-  void bump() SGK_EXCLUDES(ledger_mu_) {
-    std::lock_guard<std::mutex> lock(ledger_mu_);
-    ++epochs_run_;
-  }
+  SGK_CONFINED_TO_RUN;
 
-  int epochs_run() const SGK_EXCLUDES(ledger_mu_) {
-    std::lock_guard<std::mutex> lock(ledger_mu_);
-    return epochs_run_;
-  }
+ public:
+  void bump() { ++epochs_run_; }
+  int epochs_run() const { return epochs_run_; }
 
  private:
-  mutable std::mutex ledger_mu_;
-  int epochs_run_ SGK_GUARDED_BY(ledger_mu_) = 0;
+  int epochs_run_ = 0;
 };
 
 }  // namespace sgk::server

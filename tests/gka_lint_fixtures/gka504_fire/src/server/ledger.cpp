@@ -1,14 +1,22 @@
+#include "util/thread_annotations.h"
+
 namespace sgk::server {
 
-// Mutable top-level structure in the multi-group server with neither
-// SGK_GUARDED_BY members nor an SGK_CONFINED_TO_RUN marker: the daemon's
-// worker threads share exactly these records, so every one must be
-// consciously classified. GKA504.
-struct EpochLedger {
-  int epochs_run = 0;
-  double busy_ms = 0.0;
-};
+// One ledger shared by every worker behind a mutex: groups share no mutable
+// state, so a lock in the multi-group server means they have started to.
+// The confinement marker does not excuse the lock member. GKA504.
+class EpochLedger {
+  SGK_CONFINED_TO_RUN;
 
-void bump(EpochLedger& l) { ++l.epochs_run; }
+ public:
+  void bump() {
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    ++epochs_run_;
+  }
+
+ private:
+  std::mutex ledger_mu_;
+  int epochs_run_ = 0;
+};
 
 }  // namespace sgk::server

@@ -1,8 +1,8 @@
 namespace sgk {
 
-// Mutable top-level structure in a simulation subsystem with neither
-// SGK_GUARDED_BY members nor an SGK_CONFINED_TO_RUN marker: once runs go
-// parallel nobody knows whether this may be shared. GKA504.
+// Mutable top-level structure in a simulation subsystem without an
+// SGK_CONFINED_TO_RUN marker: with worker threads advancing groups, nobody
+// knows whether this may be shared. GKA504.
 struct RunStats {
   int events_handled = 0;
   double virtual_ms = 0.0;

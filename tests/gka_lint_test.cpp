@@ -44,7 +44,7 @@ std::vector<SourceFile> load_fixture(const std::string& name) {
 
 TEST(GkaLintRules, TableIsComplete) {
   const auto& rules = gka_lint::rules();
-  ASSERT_EQ(rules.size(), 29u);
+  ASSERT_EQ(rules.size(), 26u);
   EXPECT_STREQ(rules[0].id, "GKA001");
   EXPECT_STREQ(rules[5].id, "GKA006");
   EXPECT_STREQ(rules[8].id, "GKA009");
@@ -54,10 +54,9 @@ TEST(GkaLintRules, TableIsComplete) {
   EXPECT_STREQ(rules[19].id, "GKA306");
   EXPECT_STREQ(rules[20].id, "GKA401");
   EXPECT_STREQ(rules[21].id, "GKA402");
-  EXPECT_STREQ(rules[22].id, "GKA501");
-  EXPECT_STREQ(rules[25].id, "GKA504");
-  EXPECT_STREQ(rules[26].id, "GKA601");
-  EXPECT_STREQ(rules[28].id, "GKA603");
+  EXPECT_STREQ(rules[22].id, "GKA504");
+  EXPECT_STREQ(rules[23].id, "GKA601");
+  EXPECT_STREQ(rules[25].id, "GKA603");
 }
 
 TEST(GkaLintRules, SeverityAssignments) {
@@ -749,154 +748,48 @@ TEST(GkaLint, FormatIncludesLocationRuleAndSeverity) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-discipline rules (GKA5xx, v4).
-
-TEST(GkaLintLock, Gka501GuardedFieldNeedsTheMutex) {
-  const std::string decl =
-      "class T {\n"
-      "  std::mutex mu_;\n"
-      "  int epoch_ SGK_GUARDED_BY(mu_) = 0;\n"
-      "};\n";
-  EXPECT_TRUE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  decl + "void T::put(int e) { epoch_ = e; }\n"),
-      "GKA501"));
-  // Held via RAII guard: clean.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  decl +
-                      "void T::put(int e) {\n"
-                      "  std::lock_guard<std::mutex> lk(mu_);\n"
-                      "  epoch_ = e;\n"
-                      "}\n"),
-      "GKA501"));
-  // Held via declared capability: clean.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  decl +
-                      "void T::put_locked(int e) SGK_REQUIRES(mu_) {\n"
-                      "  epoch_ = e;\n"
-                      "}\n"),
-      "GKA501"));
-  // Constructors initialize before the object is shared: exempt.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp", decl + "T::T() { epoch_ = 1; }\n"),
-      "GKA501"));
-  // Trailing SGK_REQUIRES on a lambda (the cv.wait-predicate idiom): the
-  // annotation attaches to the lambda's pseudo-function, so touching the
-  // guarded field inside the predicate is clean.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/server/t.cpp",
-                  decl +
-                      "void T::wait_ready() {\n"
-                      "  std::unique_lock<std::mutex> lk(mu_);\n"
-                      "  cv_.wait(lk, [this]() SGK_REQUIRES(mu_) {\n"
-                      "    return epoch_ > 0;\n"
-                      "  });\n"
-                      "}\n"),
-      "GKA501"));
-}
-
-TEST(GkaLintLock, Gka502RequiresAndExcludesAtCallSites) {
-  const std::string decl =
-      "class T {\n"
-      "  std::mutex mu_;\n"
-      "  void step() SGK_REQUIRES(mu_);\n"
-      "  void sync() SGK_EXCLUDES(mu_);\n"
-      "};\n";
-  EXPECT_TRUE(has_rule(
-      lint_source("src/gcs/t.cpp", decl + "void T::run() { step(); }\n"),
-      "GKA502"));
-  // Calling an SGK_EXCLUDES function with the mutex held: deadlock fence.
-  EXPECT_TRUE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  decl +
-                      "void T::run() {\n"
-                      "  std::lock_guard<std::mutex> lk(mu_);\n"
-                      "  sync();\n"
-                      "}\n"),
-      "GKA502"));
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  decl +
-                      "void T::run() {\n"
-                      "  std::lock_guard<std::mutex> lk(mu_);\n"
-                      "  step();\n"
-                      "}\n"),
-      "GKA502"));
-}
-
-TEST(GkaLintLock, Gka503BareLockMustReleaseOnEveryPath) {
-  // Early return while bare-held.
-  EXPECT_TRUE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  "int T::drain(bool fast) {\n"
-                  "  mu_.lock();\n"
-                  "  if (fast) return 0;\n"
-                  "  mu_.unlock();\n"
-                  "  return 1;\n"
-                  "}\n"),
-      "GKA503"));
-  // Never released at all.
-  EXPECT_TRUE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  "void T::grab() {\n"
-                  "  mu_.lock();\n"
-                  "}\n"),
-      "GKA503"));
-  // Balanced bare pair: clean.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  "void T::tick() {\n"
-                  "  mu_.lock();\n"
-                  "  ++n_;\n"
-                  "  mu_.unlock();\n"
-                  "}\n"),
-      "GKA503"));
-  // A declared lock wrapper is exempt: SGK_ACQUIRE is its contract.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/gcs/t.cpp",
-                  "void T::acquire() SGK_ACQUIRE(mu_) {\n"
-                  "  mu_.lock();\n"
-                  "}\n"),
-      "GKA503"));
-}
+// Lock-discipline rule (GKA504): groups share nothing, so every sim/gcs/
+// server structure is classified run-confined and none holds a lock.
 
 TEST(GkaLintLock, Gka504ClassifiesSimAndGcsStructures) {
   const std::string bare = "struct S {\n  int n = 0;\n};\n";
   EXPECT_TRUE(has_rule(lint_source("src/sim/s.h", bare), "GKA504"));
   EXPECT_TRUE(has_rule(lint_source("src/gcs/s.h", bare), "GKA504"));
-  // Outside sim/gcs the rule does not apply.
+  EXPECT_TRUE(has_rule(lint_source("src/server/s.h", bare), "GKA504"));
+  // Outside sim/gcs/server the rule does not apply.
   EXPECT_FALSE(has_rule(lint_source("src/core/s.h", bare), "GKA504"));
-  // Classified either way: clean.
+  // Classified: clean.
   EXPECT_FALSE(has_rule(
       lint_source("src/sim/s.h",
                   "struct S {\n  SGK_CONFINED_TO_RUN;\n  int n = 0;\n};\n"),
       "GKA504"));
-  EXPECT_FALSE(has_rule(
-      lint_source("src/sim/s.h",
-                  "struct S {\n  std::mutex mu_;\n"
-                  "  int n SGK_GUARDED_BY(mu_) = 0;\n};\n"),
-      "GKA504"));
-  // Const-only and mutex/atomic-only members are immutable/self-synchronized.
+  // A lock member is a finding whatever the classification, and whether or
+  // not anything else in the structure is mutable: it means a group has
+  // started sharing state. The message points at the design doc.
+  for (const char* lock : {"std::mutex mu_;", "mutable std::shared_mutex mu_;",
+                           "std::condition_variable cv_;"}) {
+    for (const std::string& body :
+         {std::string("  SGK_CONFINED_TO_RUN;\n  int n = 0;\n"),
+          std::string("  const int n = 0;\n")}) {
+      const auto fs = lint_source(
+          "src/gcs/s.h", "struct S {\n" + body + "  " + lock + "\n};\n");
+      ASSERT_TRUE(has_rule(fs, "GKA504")) << lock;
+      EXPECT_NE(fs.front().message.find("docs/multi_group.md"),
+                std::string::npos)
+          << fs.front().message;
+    }
+  }
+  // Const-only and atomic-only members are immutable/self-synchronized.
   EXPECT_FALSE(has_rule(
       lint_source("src/sim/s.h",
                   "struct S {\n  const int n = 0;\n  std::atomic<int> a_;\n};\n"),
       "GKA504"));
-}
-
-TEST(GkaLintLock, CrossTuCapabilityNeedsTheWholeProgram) {
-  // The v4 acceptance fixture, mirroring xtu_taint: the SGK_REQUIRES
-  // contract lives in a header, the lock-free call in another TU.
-  const auto fire = load_fixture("xtu_lock_fire");
-  ASSERT_EQ(fire.size(), 3u);
-  for (const SourceFile& f : fire)
-    EXPECT_FALSE(has_rule(lint_source(f.path, f.content), "GKA502"))
-        << f.path << " must be quiet in isolation";
-  const auto fs = lint_project(fire);
-  ASSERT_TRUE(has_rule(fs, "GKA502"));
-  for (const Finding& f : lint_project(load_fixture("xtu_lock_clean")))
-    ADD_FAILURE() << "xtu_lock_clean is not clean: " << gka_lint::format(f);
+  // A method that takes a lock parameter is not a lock member.
+  EXPECT_FALSE(has_rule(
+      lint_source("src/sim/s.h",
+                  "struct S {\n  SGK_CONFINED_TO_RUN;\n"
+                  "  void wait(std::mutex& m);\n};\n"),
+      "GKA504"));
 }
 
 // ---------------------------------------------------------------------------
@@ -1050,7 +943,7 @@ TEST(GkaLintOutput, EveryRuleHasAHelpUriIntoTheCatalog) {
     const std::string uri = gka_lint::rule_help_uri(r.id);
     EXPECT_EQ(uri.rfind("docs/static_analysis.md#", 0), 0u) << r.id;
   }
-  EXPECT_EQ(gka_lint::rule_help_uri("GKA501"),
+  EXPECT_EQ(gka_lint::rule_help_uri("GKA504"),
             "docs/static_analysis.md#lock-discipline-rules-gka5xx");
   EXPECT_EQ(gka_lint::rule_help_uri("GKA601"),
             "docs/static_analysis.md#constant-time-rules-gka6xx");

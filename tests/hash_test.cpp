@@ -657,7 +657,8 @@ TEST(ChaCha20, Rfc8439Encryption) {
       "Ladies and Gentlemen of the class of '99: If I could offer you only one "
       "tip for the future, sunscreen would be it.");
   ChaCha20 cipher(key, nonce, 1);
-  Bytes ct = cipher.process(plaintext);
+  Bytes ct = plaintext;
+  cipher.process(ct);
   EXPECT_EQ(to_hex(ct),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
             "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
@@ -670,10 +671,28 @@ TEST(ChaCha20, DecryptIsInverse) {
   Bytes nonce(12, 0x24);
   Bytes msg = str_bytes("round trip message");
   ChaCha20 enc(key, nonce);
-  Bytes ct = enc.process(msg);
-  ChaCha20 dec(key, nonce);
-  EXPECT_EQ(dec.process(ct), msg);
+  Bytes ct = msg;
+  enc.process(ct);
   EXPECT_NE(ct, msg);
+  ChaCha20 dec(key, nonce);
+  dec.process(ct);
+  EXPECT_EQ(ct, msg);
+}
+
+// Draws of any sizes, block-aligned or not, continue one stream.
+TEST(ChaCha20, SplitDrawsContinueTheStream) {
+  const Bytes key(32, 0x17);
+  const Bytes nonce(12, 0x71);
+  Bytes whole(300);
+  ChaCha20(key, nonce).keystream(whole);
+  ChaCha20 split(key, nonce);
+  Bytes parts;
+  for (std::size_t len : {1, 7, 56, 64, 0, 65, 3, 104}) {
+    Bytes part(len);
+    split.keystream(part);
+    parts.insert(parts.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(parts, whole);
 }
 
 TEST(ChaCha20, RejectsBadSizes) {
@@ -727,7 +746,9 @@ TEST(Drbg, StreamIsChaCha20KeyedBySha256OfSeedAndLabel) {
   const Bytes label = str_bytes("member");
   seed_and_label.insert(seed_and_label.end(), label.begin(), label.end());
   ChaCha20 stream(Sha256::digest(seed_and_label), Bytes(ChaCha20::kNonceSize, 0));
-  EXPECT_EQ(to_hex(Bytes(got, got + sizeof(got))), to_hex(stream.keystream(80)));
+  Bytes ks(sizeof(got));
+  stream.keystream(ks);
+  EXPECT_EQ(to_hex(Bytes(got, got + sizeof(got))), to_hex(ks));
   EXPECT_EQ(to_hex(Bytes(got, got + sizeof(got))),
             "96b325b95d6399d106fcbd18bf00ca06a2e543f25e64a2d0c65ef50d501f4113"
             "3f3ae2e92c2f30e79da020671f32b2d58e45967ceb3e2a44806321f6e41dd30f"

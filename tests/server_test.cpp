@@ -9,6 +9,7 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/plan.h"
@@ -112,10 +113,10 @@ TEST(GroupServer, SmallFleetConvergesAndAggregates) {
   EXPECT_GT(result.key_installs, 0u);
   EXPECT_GT(result.virtual_makespan_ms, 0.0);
   EXPECT_GT(result.event_to_key_p99_ms, 0.0);
-  // Every group's network was absorbed into the shared (locked) stats.
-  EXPECT_EQ(server.shared_stats().networks_absorbed(), 6u);
-  EXPECT_GT(server.shared_stats().stamped_total(), 0u);
-  EXPECT_GE(server.shared_stats().processes_total(), 6u * 3u);
+  // Every group's network was absorbed into the shared stats.
+  EXPECT_EQ(server.shared_stats().networks_absorbed, 6u);
+  EXPECT_GT(server.shared_stats().stamped_total, 0u);
+  EXPECT_GE(server.shared_stats().processes_total, 6u * 3u);
 }
 
 // Disjoint per-group process-id blocks: no pid appears in two groups, and
@@ -211,6 +212,56 @@ TEST(ShardExecutor, EpochBarrierRunsEveryShardToCompletion) {
     // The barrier has passed: every shard's work for this epoch is visible.
     for (int shard = 0; shard < kThreads; ++shard)
       ASSERT_EQ(per_shard[shard], epoch + 1) << "shard " << shard;
+  }
+}
+
+// perfbench probes each worker's speed in one epoch and rescales that
+// worker's slices by it in later epochs, so a worker index must keep its
+// thread: each index runs on one OS thread, in every epoch, and no two
+// indices (nor the caller) share one.
+TEST(ShardExecutor, EachWorkerKeepsItsThreadAcrossEpochs) {
+  constexpr int kThreads = 3;
+  ShardExecutor exec(kThreads);
+  std::vector<std::thread::id> first(kThreads), seen(kThreads);
+  exec.run_epoch([&](int w) { first[w] = std::this_thread::get_id(); });
+  const std::set<std::thread::id> distinct(first.begin(), first.end());
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 0u);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    exec.run_epoch([&](int w) { seen[w] = std::this_thread::get_id(); });
+    EXPECT_EQ(seen, first) << "epoch " << epoch;
+  }
+}
+
+// The barrier orders one epoch's writes before the next epoch's reads on
+// other workers: worker w writes its slot in epoch N, and worker
+// (w + 1) % k reads it in epoch N + 1. The slots are plain ints, double
+// buffered by epoch parity, so nothing but the barrier orders the hand-off
+// (TSan checks that).
+TEST(ShardExecutor, WritesOfOneEpochReachTheNextWorkerInTheNext) {
+  constexpr int kThreads = 4;
+  ShardExecutor exec(kThreads);
+  std::vector<int> slots[2] = {std::vector<int>(kThreads, -1),
+                               std::vector<int>(kThreads, -1)};
+  std::vector<int> mismatches(kThreads, 0);
+  auto value = [](int epoch, int w) { return epoch * 100 + w; };
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    exec.run_epoch([&](int w) {
+      const int from = (w + kThreads - 1) % kThreads;
+      if (epoch > 0 && slots[(epoch + 1) % 2][from] != value(epoch - 1, from))
+        ++mismatches[w];
+      slots[epoch % 2][w] = value(epoch, w);
+    });
+  }
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+}
+
+// Workers parked at the start barrier must leave when the executor goes
+// away without having run an epoch.
+TEST(ShardExecutor, DestroyedBeforeAnyEpochJoinsCleanly) {
+  for (int threads : {1, 2, 4}) {
+    ShardExecutor exec(threads);
+    EXPECT_EQ(exec.threads(), threads);
   }
 }
 

@@ -102,24 +102,4 @@ SummaryMap compute_taint_summaries(
     const std::vector<FileModel>& models, const CallGraph& cg,
     const std::map<const FileModel*, std::vector<std::string>>& seeds_of);
 
-/// Project-wide lock-capability facts for the GKA5xx rules, merged by
-/// function *name* (the same over-approximation as the taint summaries: a
-/// fact is attributed to every same-named definition). The declared maps
-/// come straight from the SGK_* annotations of every translation unit; the
-/// effective maps add the *inferred* net lock effects — a helper that calls
-/// `mu_.lock()` and returns without unlocking behaves like SGK_ACQUIRE(mu_)
-/// for its callers — computed to a fixpoint over the cross-TU call graph.
-/// Implemented in rules_lock.cpp.
-struct LockFacts {
-  std::map<std::string, std::set<std::string>> needs;     // SGK_REQUIRES
-  std::map<std::string, std::set<std::string>> acq_decl;  // SGK_ACQUIRE
-  std::map<std::string, std::set<std::string>> rel_decl;  // SGK_RELEASE
-  std::map<std::string, std::set<std::string>> excl;      // SGK_EXCLUDES
-  std::map<std::string, std::set<std::string>> acq_eff;   // declared+inferred
-  std::map<std::string, std::set<std::string>> rel_eff;   // declared+inferred
-};
-
-LockFacts compute_lock_facts(const std::vector<FileModel>& models,
-                             const CallGraph& cg);
-
 }  // namespace gka_lint

@@ -111,18 +111,16 @@ void resolve_suppressions(const FileModel& m, std::vector<RawFinding>& raw,
 
 /// Per-file rules (GKA0xx + GKA2xx + GKA3xx/4xx + GKA5xx/6xx) into `out`,
 /// suppressions applied. `iv` carries the interprocedural taint summaries
-/// (may be null); `facts`/`guard_closure` the lock-discipline view.
+/// (may be null).
 void lint_one(const FileModel& m, const std::vector<std::string>& taint_seed,
-              const InterprocView* iv, const LockFacts& facts,
-              const std::vector<const FieldGuard*>& guard_closure,
-              std::vector<Finding>& out) {
+              const InterprocView* iv, std::vector<Finding>& out) {
   if (m.skip_file) return;
   std::vector<RawFinding> raw;
   const Sink sink = [&raw](RawFinding f) { raw.push_back(std::move(f)); };
   run_core_rules(m, sink);
   run_taint_rules(m, taint_seed, iv, sink);
   run_determinism_rules(m, sink);
-  run_lock_rules(m, guard_closure, facts, sink);
+  run_lock_rules(m, sink);
   resolve_suppressions(m, raw, out);
 }
 
@@ -202,21 +200,10 @@ const std::vector<Rule>& rules() {
        "mutable function-local static in src/core, src/sim, src/gcs, or "
        "src/server; hidden shared state plus an initialization race once "
        "runs go parallel"},
-      {"GKA501", Severity::kError,
-       "SGK_GUARDED_BY field accessed without its mutex held; take a "
-       "std::lock_guard or annotate the accessor with SGK_REQUIRES"},
-      {"GKA502", Severity::kError,
-       "function called without its SGK_REQUIRES capability held (or with "
-       "an SGK_EXCLUDES capability held); annotations merge across TUs by "
-       "name"},
-      {"GKA503", Severity::kError,
-       "lock acquired but not released on some path (bare lock() without "
-       "unlock() at exit, or a conditional early return while held); use "
-       "std::lock_guard or declare SGK_ACQUIRE"},
       {"GKA504", Severity::kError,
-       "mutable sim/gcs/server structure with no concurrency classification; "
-       "guard fields with SGK_GUARDED_BY or mark the type "
-       "SGK_CONFINED_TO_RUN"},
+       "mutable sim/gcs/server structure that is unclassified or holds a "
+       "lock; groups share nothing, so mark the type SGK_CONFINED_TO_RUN "
+       "and give each group its own copy"},
       {"GKA601", Severity::kError,
        "secret-derived value in an if/while/switch/ternary condition (or "
        "passed to a callee that branches on it, interprocedurally); "
@@ -268,11 +255,8 @@ std::vector<Finding> lint_source(const std::string& path,
   seeds[&m] = m.secure_idents;
   const SummaryMap summaries = compute_taint_summaries(models, cg, seeds);
   const InterprocView iv(cg, summaries);
-  const LockFacts facts = compute_lock_facts(models, cg);
-  std::vector<const FieldGuard*> guard_closure;
-  for (const FieldGuard& g : m.field_guards) guard_closure.push_back(&g);
 
-  lint_one(m, m.secure_idents, &iv, facts, guard_closure, out);
+  lint_one(m, m.secure_idents, &iv, out);
   sort_findings(out);
   return out;
 }
@@ -324,15 +308,10 @@ std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
     const auto it = by_path.find("src/" + target);
     return it == by_path.end() ? nullptr : it->second;
   };
-  // Field-guard maps (GKA501) follow the same closure: a SGK_GUARDED_BY in
-  // a header protects that field's uses in every file that includes it.
   std::map<const FileModel*, std::vector<std::string>> seeds;
-  std::map<const FileModel*, std::vector<const FieldGuard*>> guard_closures;
   for (const FileModel& m : models) {
     std::set<std::string> names(m.secure_idents.begin(),
                                 m.secure_idents.end());
-    std::vector<const FieldGuard*>& guards = guard_closures[&m];
-    for (const FieldGuard& g : m.field_guards) guards.push_back(&g);
     std::set<const FileModel*> visited{&m};
     std::vector<const FileModel*> queue{&m};
     while (!queue.empty()) {
@@ -342,7 +321,6 @@ std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
         const FileModel* dep = resolve(inc.target);
         if (dep == nullptr || !visited.insert(dep).second) continue;
         names.insert(dep->secure_idents.begin(), dep->secure_idents.end());
-        for (const FieldGuard& g : dep->field_guards) guards.push_back(&g);
         queue.push_back(dep);
       }
     }
@@ -356,11 +334,9 @@ std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
   cg.build(models);
   const SummaryMap summaries = compute_taint_summaries(models, cg, seeds);
   const InterprocView iv(cg, summaries);
-  const LockFacts facts = compute_lock_facts(models, cg);
 
   std::vector<Finding> out;
-  for (const FileModel& m : models)
-    lint_one(m, seeds[&m], &iv, facts, guard_closures[&m], out);
+  for (const FileModel& m : models) lint_one(m, seeds[&m], &iv, out);
 
   // Project-wide architecture rules (suppressions still apply, resolved
   // against the reporting file's allow markers).

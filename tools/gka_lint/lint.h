@@ -1,16 +1,15 @@
 // gka_lint v4: project-specific static analysis for key-handling hygiene,
-// architecture discipline, determinism, lock discipline, and constant-time
-// secret handling.
+// architecture discipline, determinism, shared-state classification, and
+// constant-time secret handling.
 //
 // Built on a real (comment/string/raw-string aware) lexer with per-file
 // include, symbol and function extraction — see lexer.h and model.h — plus,
 // since v3, a cross-translation-unit call graph with per-function taint
 // summaries computed to a fixpoint (callgraph.h), which lifts the GKA2xx
 // dataflow from function-local to interprocedural. v4 reuses the same
-// summary machinery for two new whole-program families: GKA5xx lock-set /
-// capability analysis over the SGK_* annotations
-// (src/util/thread_annotations.h) and GKA6xx secret-dependent control flow.
-// Seven rule families:
+// summary machinery for GKA6xx secret-dependent control flow, and adds
+// GKA504's classification of every sim/gcs/server structure
+// (src/util/thread_annotations.h). Seven rule families:
 //
 // Key-handling rules (per file):
 //   GKA001 (error)   raw equality on secret material: memcmp / operator== /
@@ -84,19 +83,11 @@
 //   GKA402 (error)   mutable function-local static; hidden shared state and
 //                    an init race once runs go parallel.
 //
-// Lock-discipline rules (whole program, over the SGK_* annotations of
-// src/util/thread_annotations.h; lock-sets computed to a fixpoint over the
-// cross-TU call graph):
-//   GKA501 (error)   SGK_GUARDED_BY field accessed without its mutex held
-//                    (guard maps follow the include closure).
-//   GKA502 (error)   function called without its SGK_REQUIRES capability
-//                    held, or with an SGK_EXCLUDES capability held;
-//                    annotations merge across TUs by function name.
-//   GKA503 (error)   bare lock() not released on every path out of the
-//                    function (and not declared SGK_ACQUIRE).
-//   GKA504 (error)   mutable top-level structure in src/sim|src/gcs with
-//                    neither SGK_GUARDED_BY members nor the
-//                    SGK_CONFINED_TO_RUN classification marker.
+// Lock-discipline rule (per file, src/sim|gcs|server; groups share no
+// mutable state, so these subsystems take no locks):
+//   GKA504 (error)   mutable top-level structure without the
+//                    SGK_CONFINED_TO_RUN classification marker, or one
+//                    holding a mutex / condition-variable member.
 //
 // Constant-time rules (src/ only; the GKA2xx taint engine with control-flow
 // sinks and a param_to_branch interprocedural summary bit; `k.size()`-style
@@ -190,7 +181,7 @@ std::string to_json(const std::vector<Finding>& findings,
 std::string to_sarif(const std::vector<Finding>& findings);
 
 /// The docs/static_analysis.md catalog anchor for a rule id, e.g.
-/// "docs/static_analysis.md#lock-discipline-rules-gka5xx" for GKA501.
+/// "docs/static_analysis.md#lock-discipline-rules-gka5xx" for GKA504.
 std::string rule_help_uri(const std::string& id);
 
 /// The rule table as JSON (`--list-rules --format=json`): id, severity,

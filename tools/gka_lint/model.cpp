@@ -295,139 +295,18 @@ void extract_functions(const std::vector<Tok>& code_toks,
   }
 }
 
-bool sgk_fn_annotation(const std::string& s, std::string& kind) {
-  if (s == "SGK_REQUIRES") kind = "requires";
-  else if (s == "SGK_ACQUIRE") kind = "acquire";
-  else if (s == "SGK_RELEASE") kind = "release";
-  else if (s == "SGK_EXCLUDES") kind = "excludes";
-  else return false;
-  return true;
-}
-
-bool sgk_field_annotation(const std::string& s) {
-  return s == "SGK_GUARDED_BY" || s == "SGK_PT_GUARDED_BY";
-}
-
-bool mutex_type(const std::string& s) {
+bool lock_type(const std::string& s) {
   return s == "mutex" || s == "shared_mutex" || s == "recursive_mutex" ||
-         s == "timed_mutex" || s == "shared_timed_mutex";
-}
-
-/// Extracts the SGK_* lock annotations from the un-expanded token stream.
-/// `SGK_GUARDED_BY(m)` attaches to the identifier immediately before it (the
-/// declared member); `SGK_REQUIRES(m)` & friends attach to the function whose
-/// parameter list precedes them (declaration or definition), skipping
-/// qualifiers and other annotations in between.
-void extract_annotations(const std::vector<Tok>& pure,
-                         std::vector<FieldGuard>& guards,
-                         std::vector<FnAnnotation>& fns) {
-  const std::size_t n = pure.size();
-  auto match_close = [&](std::size_t open) -> std::size_t {
-    int depth = 0;
-    for (std::size_t j = open; j < n; ++j) {
-      if (pure[j].kind != TokKind::kPunct) continue;
-      if (pure[j].text == "(") ++depth;
-      if (pure[j].text == ")" && --depth == 0) return j;
-    }
-    return n;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pure[i].kind != TokKind::kIdent) continue;
-    std::string kind;
-    if (sgk_field_annotation(pure[i].text)) {
-      if (i + 1 >= n || pure[i + 1].text != "(") continue;
-      const std::size_t close = match_close(i + 1);
-      if (close >= n) continue;
-      std::string mutex;
-      for (std::size_t j = i + 2; j < close; ++j)
-        if (pure[j].kind == TokKind::kIdent) mutex = pure[j].text;
-      if (mutex.empty()) continue;
-      if (i == 0 || pure[i - 1].kind != TokKind::kIdent) continue;
-      guards.push_back({"", pure[i - 1].text, mutex, pure[i].line});
-      i = close;
-      continue;
-    }
-    if (!sgk_fn_annotation(pure[i].text, kind)) continue;
-    if (i + 1 >= n || pure[i + 1].text != "(") continue;
-    const std::size_t close = match_close(i + 1);
-    if (close >= n) continue;
-    // Arguments: top-level comma split, each argument's last identifier.
-    std::vector<std::string> mutexes;
-    {
-      int pd = 0;
-      std::string last;
-      for (std::size_t j = i + 2; j < close; ++j) {
-        const Tok& t = pure[j];
-        if (t.kind == TokKind::kPunct) {
-          if (t.text == "(") ++pd;
-          if (t.text == ")") --pd;
-          if (t.text == "," && pd == 0 && !last.empty()) {
-            mutexes.push_back(last);
-            last.clear();
-          }
-          continue;
-        }
-        if (t.kind == TokKind::kIdent) last = t.text;
-      }
-      if (!last.empty()) mutexes.push_back(last);
-    }
-    // The function name: walk back over qualifiers and earlier annotations
-    // to the ')' that closes the parameter list, then take the identifier
-    // before its '('.
-    std::string fn;
-    std::size_t p = i;
-    while (p > 0) {
-      --p;
-      const Tok& t = pure[p];
-      if (t.kind == TokKind::kIdent &&
-          (t.text == "const" || t.text == "noexcept" || t.text == "override" ||
-           t.text == "final"))
-        continue;
-      if (t.kind == TokKind::kPunct && t.text == ")") {
-        int depth = 0;
-        std::size_t q = p + 1;
-        while (q-- > 0) {
-          if (pure[q].kind != TokKind::kPunct) continue;
-          if (pure[q].text == ")") ++depth;
-          if (pure[q].text == "(" && --depth == 0) break;
-        }
-        if (q == 0 && (pure[0].kind != TokKind::kPunct || pure[0].text != "("))
-          break;
-        if (q >= 1 && pure[q - 1].kind == TokKind::kIdent) {
-          std::string k2;
-          const std::string& cand = pure[q - 1].text;
-          if (sgk_fn_annotation(cand, k2) || sgk_field_annotation(cand)) {
-            p = q;  // an earlier annotation's parens; keep walking back
-            continue;
-          }
-          if (!keyword_not_call(cand)) fn = cand;
-        } else if (q >= 1 && pure[q - 1].kind == TokKind::kPunct &&
-                   pure[q - 1].text == "]") {
-          // Trailing annotation on a lambda (`[..](..) SGK_REQUIRES(mu) {`,
-          // the cv.wait-predicate idiom): the function extractor models the
-          // lambda body as a pseudo-function named after the annotation
-          // macro itself, so attach the capability to that name. All
-          // annotated lambdas merge under it — the same deliberate
-          // name-level over-approximation the rest of the pass uses.
-          fn = pure[i].text;
-        }
-        break;
-      }
-      break;
-    }
-    if (!fn.empty() && !mutexes.empty())
-      fns.push_back({fn, kind, mutexes, pure[i].line});
-    i = close;
-  }
+         s == "timed_mutex" || s == "shared_timed_mutex" ||
+         s == "condition_variable" || s == "condition_variable_any";
 }
 
 /// Finds class/struct/union definitions and classifies their members:
-/// unguarded mutable data members (what GKA504 keys on), SGK_GUARDED_BY
-/// members, the SGK_CONFINED_TO_RUN marker, and mutex-typed members (the
-/// capabilities themselves — exempt, as are std::atomic members and
-/// const/constexpr ones).
-void extract_records(const std::vector<Tok>& pure, std::vector<Record>& records,
-                     std::vector<MutexMember>& mutexes) {
+/// mutable data members and the SGK_CONFINED_TO_RUN marker (what GKA504
+/// keys on), and mutex/condition-variable members (a GKA504 finding of their
+/// own). std::atomic members and const/constexpr ones are exempt.
+void extract_records(const std::vector<Tok>& pure,
+                     std::vector<Record>& records) {
   const std::size_t n = pure.size();
   struct Range {
     std::size_t open, close;
@@ -472,16 +351,14 @@ void extract_records(const std::vector<Tok>& pure, std::vector<Record>& records,
     Record rec;
     rec.name = name.text;
     rec.line = name.line;
-    rec.body_begin = pure[k].line;
-    rec.body_end = pure[c].line;
 
     // Member statements directly in the body: skip nested `{...}` blocks
     // (method bodies, nested records, brace-inits).
     std::vector<const Tok*> stmt;
     auto flush = [&] {
       if (stmt.empty()) return;
-      bool has_paren = false, immutable = false, skip = false, guarded = false,
-           confined = false, is_mutex = false, is_atomic = false;
+      bool has_paren = false, immutable = false, skip = false,
+           confined = false, is_lock = false, is_atomic = false;
       for (const Tok* t : stmt) {
         if (t->kind == TokKind::kPunct && t->text == "(") has_paren = true;
         if (t->kind != TokKind::kIdent) continue;
@@ -495,33 +372,27 @@ void extract_records(const std::vector<Tok>& pure, std::vector<Record>& records,
         if (s == "const" || s == "constexpr" || s == "constinit")
           immutable = true;
         if (s == "SGK_CONFINED_TO_RUN") confined = true;
-        if (sgk_field_annotation(s)) guarded = true;
-        if (mutex_type(s)) is_mutex = true;
-        if (s == "atomic" || s == "condition_variable") is_atomic = true;
+        if (lock_type(s)) is_lock = true;
+        if (s == "atomic") is_atomic = true;
+      }
+      // The declared name: the last identifier before any initializer.
+      int idents = 0;
+      std::string last;
+      for (const Tok* t : stmt) {
+        if (t->kind == TokKind::kPunct && t->text == "=") break;
+        if (t->kind == TokKind::kIdent) {
+          ++idents;
+          last = t->text;
+        }
       }
       if (confined) {
         rec.has_confined_marker = true;
-      } else if (guarded) {
-        rec.has_guard = true;
-        rec.has_mutable_member = true;
-      } else if (!skip && !has_paren && !immutable && !is_mutex && !is_atomic) {
-        int idents = 0;
-        std::string last;
-        int first_line = stmt.front()->line;
-        for (const Tok* t : stmt) {
-          if (t->kind == TokKind::kPunct && t->text == "=") break;
-          if (t->kind == TokKind::kIdent) {
-            ++idents;
-            last = t->text;
-          }
-        }
-        if (idents >= 2) {
-          rec.has_mutable_member = true;
-          if (rec.first_mutable.empty()) {
-            rec.first_mutable = last;
-            rec.first_mutable_line = first_line;
-          }
-        }
+      } else if (skip || has_paren || idents < 2) {
+        // not a data member
+      } else if (is_lock) {
+        if (rec.lock_member.empty()) rec.lock_member = last;
+      } else if (!immutable && !is_atomic) {
+        if (rec.first_mutable.empty()) rec.first_mutable = last;
       }
       stmt.clear();
     };
@@ -571,33 +442,6 @@ void extract_records(const std::vector<Tok>& pure, std::vector<Record>& records,
       if (a != b && ranges[b].open < ranges[a].open &&
           ranges[a].close < ranges[b].close)
         records[a].nested = true;
-
-  // Mutex declarations anywhere (members and namespace-scope); the owner is
-  // filled in by line containment below.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (pure[i].kind != TokKind::kIdent || !mutex_type(pure[i].text)) continue;
-    if (pure[i + 1].kind != TokKind::kIdent ||
-        keyword_not_call(pure[i + 1].text))
-      continue;
-    mutexes.push_back({"", pure[i + 1].text, pure[i + 1].line});
-  }
-}
-
-/// Fills the `owner` of guards/mutexes with the innermost record whose body
-/// contains their line.
-template <typename T>
-void fill_owner(std::vector<T>& items, const std::vector<Record>& records) {
-  for (T& it : items) {
-    int best_span = 0;
-    for (const Record& r : records) {
-      if (it.line < r.line || it.line > r.body_end) continue;
-      const int span = r.body_end - r.line;
-      if (it.owner.empty() || span < best_span) {
-        it.owner = r.name;
-        best_span = span;
-      }
-    }
-  }
 }
 
 /// Classifies each pure-code token with its innermost syntactic scope via a
@@ -734,10 +578,7 @@ FileModel build_model(const std::string& path, const std::string& content) {
       pure_code.push_back(t);
   extract_secure_idents(pure_code, m.secure_idents);
   extract_functions(pure_code, m.functions);
-  extract_annotations(pure_code, m.field_guards, m.fn_annotations);
-  extract_records(pure_code, m.records, m.mutex_members);
-  fill_owner(m.field_guards, m.records);
-  fill_owner(m.mutex_members, m.records);
+  extract_records(pure_code, m.records);
   classify_scopes(pure_code, m.scoped_tokens);
   return m;
 }

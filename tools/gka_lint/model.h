@@ -15,10 +15,8 @@
 //   - secure_idents: identifiers declared with a zeroizing Secure* type —
 //                 fields, locals, parameters, and functions *returning* a
 //                 Secure* type. These seed the taint analysis.
-//   - field_guards / fn_annotations / mutex_members / records: the SGK_*
-//                 lock-discipline annotations (src/util/thread_annotations.h)
-//                 plus class/struct records with their mutable-member and
-//                 classification status, for the GKA5xx lock rules.
+//   - records:    class/struct records with their mutable-member, lock-member
+//                 and SGK_CONFINED_TO_RUN classification status, for GKA504.
 #pragma once
 
 #include <string>
@@ -72,46 +70,16 @@ struct ScopedTok {
   bool ns_only = true;
 };
 
-/// One `field SGK_GUARDED_BY(mutex)` annotation. `owner` is the innermost
-/// enclosing class/struct name, or empty for a namespace-scope guard.
-struct FieldGuard {
-  std::string owner;
-  std::string field;
-  std::string mutex;
-  int line = 0;  // 1-based
-};
-
-/// One function-level capability annotation (`SGK_REQUIRES` & friends),
-/// attached to a declaration or a definition. `kind` is one of "requires",
-/// "acquire", "release", "excludes".
-struct FnAnnotation {
-  std::string fn;
-  std::string kind;
-  std::vector<std::string> mutexes;
-  int line = 0;  // 1-based
-};
-
-/// A mutex-typed data member (`std::mutex` / `std::shared_mutex` / ...).
-struct MutexMember {
-  std::string owner;  // enclosing class/struct name, empty at namespace scope
-  std::string name;
-  int line = 0;  // 1-based
-};
-
-/// A class/struct/union definition, with the mutable-member and
-/// lock-classification summary the GKA504 rule keys on. Nested records are
+/// A class/struct/union definition, with the mutable-member, lock-member and
+/// classification summary the GKA504 rule keys on. Nested records are
 /// extracted too but flagged, since classification of the enclosing record
 /// covers them.
 struct Record {
   std::string name;
-  int line = 0;        // line of the record name
-  int body_begin = 0;  // line of the opening '{'
-  int body_end = 0;    // line of the matching '}'
+  int line = 0;  // line of the record name
   bool nested = false;
-  bool has_mutable_member = false;
-  std::string first_mutable;  // first unguarded mutable member, for messages
-  int first_mutable_line = 0;
-  bool has_guard = false;     // any SGK_GUARDED_BY member
+  std::string first_mutable;  // first mutable data member; empty if none
+  std::string lock_member;    // first mutex/condition-variable member, if any
   bool has_confined_marker = false;  // SGK_CONFINED_TO_RUN classification
 };
 
@@ -125,9 +93,6 @@ struct FileModel {
   std::vector<Allow> allows;
   std::vector<Function> functions;
   std::vector<std::string> secure_idents;
-  std::vector<FieldGuard> field_guards;
-  std::vector<FnAnnotation> fn_annotations;
-  std::vector<MutexMember> mutex_members;
   std::vector<Record> records;
   std::vector<Tok> tokens;
   std::vector<ScopedTok> scoped_tokens;  // pure code tokens, scope-classified

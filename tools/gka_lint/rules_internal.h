@@ -15,7 +15,6 @@
 namespace gka_lint {
 
 class InterprocView;  // callgraph.h
-struct LockFacts;     // callgraph.h
 
 /// A finding before suppression filtering and severity assignment (the
 /// engine derives severity from the rule table).
@@ -77,14 +76,9 @@ void run_taint_rules(const FileModel& m,
 /// GKA301..GKA306 (determinism) + GKA401/GKA402 (shared state) on one file.
 void run_determinism_rules(const FileModel& m, const Sink& sink);
 
-/// GKA501..GKA504 (lock discipline) on one file. `guard_closure` is the
-/// SGK_GUARDED_BY set visible to this file (include-closure merged in
-/// project mode, own-file in single-file mode); `facts` carries the
-/// project-wide merged annotations and inferred lock effects
-/// (compute_lock_facts in rules_lock.cpp).
-void run_lock_rules(const FileModel& m,
-                    const std::vector<const FieldGuard*>& guard_closure,
-                    const LockFacts& facts, const Sink& sink);
+/// GKA504 (every sim/gcs/server structure classified, none holding a lock)
+/// on one file.
+void run_lock_rules(const FileModel& m, const Sink& sink);
 
 /// GKA101/GKA102 over the whole project's include graph (src/ files only).
 void run_arch_rules(const std::vector<FileModel>& files, const Sink& sink);

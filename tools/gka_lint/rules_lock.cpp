@@ -1,348 +1,47 @@
-// GKA501..GKA504: lock-discipline / capability analysis (v4).
+// GKA504: every mutable structure under src/sim, src/gcs and src/server is
+// classified, and none of them holds a lock.
 //
-// The SGK_* annotations (src/util/thread_annotations.h) declare the locking
-// contract; this pass checks the tree against it, whole-program:
-//
-//   GKA501  a field annotated SGK_GUARDED_BY(m) is read or written at a
-//           point where `m` is not held. Guard maps follow the include
-//           closure (a guard declared in a header protects uses in every
-//           file that includes it), matching by field *name* — the same
-//           deliberate over-approximation the taint pass uses.
-//   GKA502  a function annotated SGK_REQUIRES(m) is called without `m`
-//           held, or a function annotated SGK_EXCLUDES(m) is called WITH
-//           `m` held (deadlock fence). Annotations are merged across
-//           translation units by function name, so a declaration in one
-//           header disciplines call sites in every TU — this is what makes
-//           the seeded xtu_lock fixture fire only in project mode.
-//   GKA503  a bare `m.lock()` (non-RAII) with no matching unlock at
-//           function exit, or a conditional early return while the lock is
-//           held, in a function not annotated SGK_ACQUIRE(m). Lock
-//           *wrappers* declare SGK_ACQUIRE and are exempt.
-//   GKA504  a mutable top-level class/struct under src/sim, src/gcs or
-//           src/server with neither an SGK_GUARDED_BY member nor the
-//           SGK_CONFINED_TO_RUN classification marker: unclassified shared
-//           state. This is the escape-analysis complement to GKA401/402 —
-//           the multi-group server's worker threads (src/server, ROADMAP
-//           item 4) share exactly these structures, so every one must be
-//           consciously classified. Mutex/atomic members, const
-//           members, nested records (covered by the enclosing record's
-//           classification) and function-local records (run-confined by
-//           construction) are exempt.
-//
-// Lock-set tracking per function, to a fixpoint over the cross-TU call
-// graph (compute_lock_facts): the entry set is the merged SGK_REQUIRES +
-// SGK_RELEASE capabilities; RAII guards (std::lock_guard / unique_lock /
-// scoped_lock / shared_lock) hold from their declaration to the end of the
-// enclosing brace scope; bare `m.lock()` holds until `m.unlock()` or
-// function exit; and calling a function whose *effective* summary acquires
-// or releases a mutex applies that effect at the call site. Effective
-// summaries start from the declared SGK_ACQUIRE/SGK_RELEASE sets and grow
-// with inferred net effects (a helper that locks and returns without
-// unlocking behaves like SGK_ACQUIRE for its callers), iterated until
-// stable — the same summary machinery as the taint pass.
-//
-// Known approximations (documented in docs/static_analysis.md): tracking is
-// line-granular; `unique_lock` with `defer_lock` is skipped entirely;
-// conditions spanning multiple lines are scanned line-by-line; capability
-// names are matched as bare identifiers (the last identifier of `a.b_`).
-#include <algorithm>
-#include <map>
-#include <set>
-
-#include "gka_lint/callgraph.h"
+// Groups share no mutable state (docs/multi_group.md): each one's replay is
+// owned by one run and advanced by one worker at a time, with the executor's
+// epoch barrier ordering the hand-offs. So a mutable top-level class/struct
+// there must carry the SGK_CONFINED_TO_RUN marker
+// (src/util/thread_annotations.h), and a mutex or condition-variable member
+// is a finding whatever the classification: a reintroduced lock means a
+// group has started sharing state. This is the escape-analysis complement to
+// GKA401/402. Atomic members, const members, nested records (covered by the
+// enclosing record's classification) and function-local records (run-confined
+// by construction) are exempt.
 #include "gka_lint/rules_internal.h"
 
 namespace gka_lint {
 
-namespace {
-
-bool raii_guard_type(const std::string& s) {
-  return s == "lock_guard" || s == "unique_lock" || s == "scoped_lock" ||
-         s == "shared_lock";
-}
-
-bool lock_tag(const std::string& s) {
-  return s == "defer_lock" || s == "adopt_lock" || s == "try_to_lock";
-}
-
-const std::set<std::string>& facts_of(
-    const std::map<std::string, std::set<std::string>>& m,
-    const std::string& name) {
-  static const std::set<std::string> kEmpty;
-  const auto it = m.find(name);
-  return it == m.end() ? kEmpty : it->second;
-}
-
-/// The outcome of one body scan, for the inference fixpoint.
-struct LockOutcome {
-  std::set<std::string> held_at_exit;       // bare-acquired, never released
-  std::set<std::string> released_for_caller;  // released without acquiring
-};
-
-/// Scans one function body tracking the held lock-set. In reporting mode
-/// (`report` != nullptr) emits GKA501/502/503; in summary mode only records
-/// the net effect. `guards` maps field name -> its FieldGuard annotations
-/// (include-closure merged in project mode).
-LockOutcome scan_locks(
-    const FileModel& m, const Function& fn, const LockFacts& facts,
-    const std::map<std::string, std::vector<const FieldGuard*>>& guards,
-    const Sink* report) {
-  LockOutcome out;
-
-  // Entry capabilities: what SGK_REQUIRES says the caller holds, plus what
-  // SGK_RELEASE says this function will release on the caller's behalf.
-  std::set<std::string> entry = facts_of(facts.needs, fn.name);
-  for (const std::string& s : facts_of(facts.rel_decl, fn.name))
-    entry.insert(s);
-
-  struct Raii {
-    std::string mutex;
-    int depth;
-  };
-  std::vector<Raii> raii;
-  std::map<std::string, int> bare;  // mutex -> line of the acquiring lock()
-  std::set<std::string> early_fired;
-  int depth = 0;
-
-  auto held = [&](const std::string& mu) {
-    if (entry.count(mu) != 0) return true;
-    if (bare.count(mu) != 0) return true;
-    for (const Raii& r : raii)
-      if (r.mutex == mu) return true;
-    return false;
-  };
-
-  for (int line = fn.body_begin; line <= fn.body_end; ++line) {
-    const std::size_t li = static_cast<std::size_t>(line - 1);
-    if (li >= m.code.size()) break;
-    const std::string& c = m.code[li];
-    const int depth_start = depth;
-    if (c.empty()) continue;
-    const std::vector<LineTok> ids = line_identifiers(c);
-
-    // Brace delta of this line, computed up front: a guard declared here
-    // lives in the innermost scope OPEN at this line — depth_start if the
-    // scope's '{' was on an earlier line, depth_end if this line opens it
-    // (`if (x) { std::lock_guard ...`). Line-granular by design.
-    int depth_end = depth, d_min = depth;
-    for (char ch : c) {
-      if (ch == '{') ++depth_end;
-      if (ch == '}') {
-        --depth_end;
-        d_min = std::min(d_min, depth_end);
-      }
-    }
-
-    // --- lock events -----------------------------------------------------
-    // RAII guard declarations: `std::lock_guard<std::mutex> lk(mu_);`.
-    for (const LineTok& t : ids) {
-      if (!raii_guard_type(t.text)) continue;
-      const std::size_t open = c.find('(', t.pos + t.text.size());
-      if (open == std::string::npos) break;
-      const auto args = call_args(c, open);
-      bool deferred = false;
-      std::vector<std::string> mus;
-      for (const auto& [ab, ae] : args) {
-        const LineTok* last = nullptr;
-        for (const LineTok& a : ids)
-          if (a.pos >= ab && a.pos + a.text.size() <= ae) last = &a;
-        if (last == nullptr) continue;
-        if (lock_tag(last->text)) {
-          deferred = deferred || last->text == "defer_lock";
-          continue;
-        }
-        mus.push_back(last->text);
-      }
-      if (!deferred)
-        for (const std::string& mu : mus)
-          raii.push_back({mu, std::max(depth_start, depth_end)});
-      break;
-    }
-    // Bare `m.lock()` / `m.unlock()` and calls with acquire/release effects.
-    for (const LineTok& t : ids) {
-      const std::size_t after = t.pos + t.text.size();
-      if (after >= c.size() || c[after] != '(') continue;
-      if (t.text == "lock" || t.text == "unlock") {
-        // Preceded by '.' or '->' => find the object identifier.
-        std::size_t p = t.pos;
-        int skip = 0;
-        if (p >= 1 && c[p - 1] == '.') skip = 1;
-        if (p >= 2 && c[p - 2] == '-' && c[p - 1] == '>') skip = 2;
-        if (skip == 0) continue;
-        const LineTok* obj = nullptr;
-        for (const LineTok& a : ids)
-          if (a.pos + a.text.size() == p - static_cast<std::size_t>(skip))
-            obj = &a;
-        if (obj == nullptr) continue;
-        if (t.text == "lock") {
-          bare.emplace(obj->text, line);
-        } else if (bare.erase(obj->text) == 0) {
-          // Releasing something this function never acquired: the caller
-          // held it (an SGK_RELEASE-style helper).
-          out.released_for_caller.insert(obj->text);
-          entry.erase(obj->text);
-        }
-        continue;
-      }
-      if (t.text == fn.name) continue;  // the definition / recursion
-      for (const std::string& mu : facts_of(facts.acq_eff, t.text))
-        bare.emplace(mu, line);
-      for (const std::string& mu : facts_of(facts.rel_eff, t.text))
-        if (bare.erase(mu) == 0) {
-          out.released_for_caller.insert(mu);
-          entry.erase(mu);
-        }
-    }
-
-    if (report != nullptr) {
-      // --- GKA501: guarded field access without the mutex ----------------
-      for (const LineTok& t : ids) {
-        const auto git = guards.find(t.text);
-        if (git == guards.end()) continue;
-        bool ok = false, declaration_site = false;
-        for (const FieldGuard* g : git->second) {
-          if (held(g->mutex)) ok = true;
-          // Constructors/destructor of the owning class initialize before
-          // the object is shared (the Clang analysis exempts them too).
-          if (!g->owner.empty() && fn.name == g->owner) ok = true;
-        }
-        // The annotation's own declaration line is not an access.
-        for (const FieldGuard* g : git->second)
-          if (g->line == line) declaration_site = true;
-        if (ok || declaration_site) continue;
-        const FieldGuard* g = git->second.front();
-        (*report)({"GKA501", m.path, line,
-                   "field '" + t.text + "' is SGK_GUARDED_BY(" + g->mutex +
-                       ") but '" + g->mutex + "' is not held here; take a "
-                       "std::lock_guard first or annotate '" + fn.name +
-                       "' with SGK_REQUIRES(" + g->mutex + ")"});
-      }
-      // --- GKA502: call without required capability / with excluded one --
-      for (const LineTok& t : ids) {
-        const std::size_t after = t.pos + t.text.size();
-        if (after >= c.size() || c[after] != '(') continue;
-        if (t.text == fn.name) continue;
-        for (const std::string& mu : facts_of(facts.needs, t.text)) {
-          if (held(mu)) continue;
-          (*report)({"GKA502", m.path, line,
-                     "'" + t.text + "' requires capability '" + mu +
-                         "' (SGK_REQUIRES) but it is not held at this call "
-                         "site; lock it first or propagate SGK_REQUIRES"});
-        }
-        for (const std::string& mu : facts_of(facts.excl, t.text)) {
-          if (!held(mu)) continue;
-          (*report)({"GKA502", m.path, line,
-                     "'" + t.text + "' excludes capability '" + mu +
-                         "' (SGK_EXCLUDES) but it is held at this call site; "
-                         "release it first (deadlock fence)"});
-        }
-      }
-      // --- GKA503 (early path): conditional return while bare-held -------
-      bool has_return = false, conditional = depth_start > 1;
-      for (const LineTok& t : ids) {
-        if (t.text == "return") has_return = true;
-        if (t.text == "if" || t.text == "case") conditional = true;
-      }
-      if (has_return && conditional) {
-        for (const auto& [mu, lock_line] : bare) {
-          if (facts_of(facts.acq_decl, fn.name).count(mu) != 0) continue;
-          if (!early_fired.insert(mu).second) continue;
-          (*report)({"GKA503", m.path, line,
-                     "early return with '" + mu + "' still locked (acquired "
-                     "at line " + std::to_string(lock_line) +
-                         "); use std::lock_guard so every path releases it"});
-        }
-      }
-    }
-
-    // --- scope bookkeeping: drop guards whose scope closed on this line ---
-    depth = depth_end;
-    raii.erase(std::remove_if(raii.begin(), raii.end(),
-                              [&](const Raii& r) { return r.depth > d_min; }),
-               raii.end());
-  }
-
-  for (const auto& [mu, lock_line] : bare) {
-    out.held_at_exit.insert(mu);
-    if (report != nullptr &&
-        facts_of(facts.acq_decl, fn.name).count(mu) == 0 &&
-        early_fired.count(mu) == 0) {
-      (*report)({"GKA503", m.path, lock_line,
-                 "'" + mu + "' is locked here but not released on every "
-                 "path out of '" + fn.name +
-                     "'; use std::lock_guard or annotate the function with "
-                     "SGK_ACQUIRE(" + mu + ") if it is a lock wrapper"});
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-LockFacts compute_lock_facts(const std::vector<FileModel>& models,
-                             const CallGraph& cg) {
-  LockFacts facts;
-  for (const FileModel& m : models) {
-    if (m.skip_file) continue;
-    for (const FnAnnotation& a : m.fn_annotations) {
-      auto* dst = &facts.needs;
-      if (a.kind == "acquire") dst = &facts.acq_decl;
-      if (a.kind == "release") dst = &facts.rel_decl;
-      if (a.kind == "excludes") dst = &facts.excl;
-      for (const std::string& mu : a.mutexes) (*dst)[a.fn].insert(mu);
-    }
-  }
-  facts.acq_eff = facts.acq_decl;
-  facts.rel_eff = facts.rel_decl;
-
-  // Inference fixpoint: net lock effects only ever grow, so this converges;
-  // the cap bounds pathological chains.
-  constexpr int kMaxIters = 12;
-  const std::map<std::string, std::vector<const FieldGuard*>> no_guards;
-  for (int iter = 0; iter < kMaxIters; ++iter) {
-    bool changed = false;
-    for (const FunctionRef& ref : cg.all()) {
-      const LockOutcome o =
-          scan_locks(*ref.file, *ref.fn, facts, no_guards, nullptr);
-      for (const std::string& mu : o.held_at_exit)
-        changed |= facts.acq_eff[ref.fn->name].insert(mu).second;
-      for (const std::string& mu : o.released_for_caller)
-        changed |= facts.rel_eff[ref.fn->name].insert(mu).second;
-    }
-    if (!changed) break;
-  }
-  return facts;
-}
-
-void run_lock_rules(const FileModel& m,
-                    const std::vector<const FieldGuard*>& guard_closure,
-                    const LockFacts& facts, const Sink& sink) {
-  std::map<std::string, std::vector<const FieldGuard*>> guards;
-  for (const FieldGuard* g : guard_closure) guards[g->field].push_back(g);
-
-  for (const Function& fn : m.functions)
-    scan_locks(m, fn, facts, guards, &sink);
-
-  // --- GKA504: unclassified mutable shared structure in sim/gcs/server ----
+void run_lock_rules(const FileModel& m, const Sink& sink) {
   if (!path_has_prefix(m.path, "src/sim") &&
       !path_has_prefix(m.path, "src/gcs") &&
       !path_has_prefix(m.path, "src/server"))
     return;
   for (const Record& r : m.records) {
-    if (r.nested || !r.has_mutable_member) continue;
-    if (r.has_guard || r.has_confined_marker) continue;
+    if (r.nested) continue;
     bool function_local = false;
     for (const Function& fn : m.functions)
       if (r.line >= fn.body_begin && r.line <= fn.body_end)
         function_local = true;
     if (function_local) continue;
+    if (!r.lock_member.empty()) {
+      sink({"GKA504", m.path, r.line,
+            "structure '" + r.name + "' holds lock member '" + r.lock_member +
+                "'; groups share no mutable state, so sim/gcs/server code "
+                "takes no locks: give each group its own copy, and let the "
+                "epoch barrier order hand-offs (docs/multi_group.md)"});
+      continue;
+    }
+    if (r.first_mutable.empty() || r.has_confined_marker) continue;
     sink({"GKA504", m.path, r.line,
           "mutable structure '" + r.name + "' (e.g. member '" +
               r.first_mutable +
-              "') has no concurrency classification; guard its fields with "
-              "SGK_GUARDED_BY or mark the type SGK_CONFINED_TO_RUN "
-              "(src/util/thread_annotations.h) before worker threads share "
-              "it"});
+              "') has no concurrency classification; mark the type "
+              "SGK_CONFINED_TO_RUN (src/util/thread_annotations.h) if one "
+              "run owns it, or give each group its own copy"});
   }
 }
 
