@@ -10,7 +10,9 @@
 //
 // Each row times single calls, at least kMinCalls of them and for at least
 // kRowNs of host time, after one untimed warm-up call, and prints the
-// calibrated p50 (histogram estimate) and exact mean ns per call.
+// calibrated p50 (histogram estimate) and exact mean ns per call. The first
+// line names the Montgomery kernel that serves 512- and 1024-bit moduli on
+// this CPU.
 //
 // Usage: bench_crypto
 #include <cstdint>
@@ -57,6 +59,8 @@ void row(const std::string& name, Op op) {
 }
 
 void run_rows() {
+  std::printf("Montgomery kernels: %s at 8 limbs (512 bits), %s at 16 limbs (1024 bits)\n",
+              kernel_name(montgomery_kernel(8)), kernel_name(montgomery_kernel(16)));
   std::printf("%-32s %10s %14s %14s\n", "row", "calls", "p50_ns", "mean_ns");
 
   const DhGroup& g512 = dh_group(DhBits::k512);

@@ -32,9 +32,9 @@
 // inputs below the 160-bit subgroup order q (DhGroup::inverse_q's shape) and
 // the DH-512 and DH-1024 primes. A run always exits 0 (report only); a bad
 // argument prints usage and exits 2.
-// Its header names the kernel the K = 8 and K = 16 rows ran: the
-// MULX/ADCX/ADOX routines where the CPU has BMI2 and ADX, else the portable
-// one.
+// Its header names the kernels the K = 8 and K = 16 rows ran: at K = 16 the
+// AVX-512 IFMA routines where the CPU has AVX512F/IFMA/VL, at both the
+// MULX/ADCX/ADOX routines where it has BMI2 and ADX, else the portable one.
 //
 // Usage: ct_leak [--samples N]   (N >= 2 per class and row; default 5000)
 #include <algorithm>
@@ -46,7 +46,6 @@
 
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
-#include "bignum/montgomery_adx.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "harness/bench_io.h"
@@ -188,8 +187,9 @@ int main(int argc, char** argv) {
   sgk::Drbg rng(1, "ct_leak");
   std::printf("Welch t-test, fixed vs random class; leak if |t| > %.1f\n",
               sgk::kThreshold);
-  std::printf("K=8 and K=16 rows run the %s kernel\n",
-              sgk::adx::selected() ? "mulx/adcx/adox" : "portable");
+  std::printf("K=8 rows run the %s kernel, K=16 rows the %s kernel\n",
+              sgk::kernel_name(sgk::montgomery_kernel(8)),
+              sgk::kernel_name(sgk::montgomery_kernel(16)));
   auto random_base = [&rng](const sgk::BigInt& p) {
     return sgk::BigInt::random_below(p, rng);
   };

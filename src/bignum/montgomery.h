@@ -6,18 +6,24 @@
 // essentially (#squarings + #multiplies) * cost(montgomery multiply), i.e.
 // roughly linear in the exponent bit-length for a fixed modulus size.
 //
-// One product-scanning kernel serves every modulus. It works on stack
-// arrays (nothing is allocated inside an exponentiation), is compiled for a
-// fixed limb count of 8 and 16 (DH-512 and the RSA-1024 CRT halves; DH-1024
-// and RSA-1024) with its column loops fully unrolled, and runs every other
-// size with a runtime limb count of up to kMaxLimbs. At 8 and 16 limbs every
-// squaring of an exponentiation or comb build runs a dedicated squaring:
-// each column's cross products are summed once and doubled without a
-// branch, then the diagonal term and the reduction terms are added, about
-// three quarters of the product's limb multiplies. Like the product, it runs
-// one instruction sequence for every input and leaves nothing visible beyond
-// the limb count. At runtime limb counts squarings run the product, which
-// measured faster there.
+// One exponentiation engine serves every modulus: the fixed-window and
+// comb secret paths, the comb build, the sliding-window public path and the
+// product below are written once, over a backend that supplies only the
+// radix conversions, the Montgomery product (and squaring) and the masked
+// table scan. It works on stack arrays; nothing is allocated inside an
+// exponentiation.
+//
+// The portable backend is one product-scanning kernel in radix 2^64. It is
+// compiled for a fixed limb count of 8 and 16 (DH-512 and the RSA-1024 CRT
+// halves; DH-1024 and RSA-1024) with its column loops fully unrolled, and
+// runs every other size with a runtime limb count of up to kMaxLimbs. At 8
+// and 16 limbs every squaring of an exponentiation or comb build runs a
+// dedicated squaring: each column's cross products are summed once and
+// doubled without a branch, then the diagonal term and the reduction terms
+// are added, about three quarters of the product's limb multiplies. Like
+// the product, it runs one instruction sequence for every input and leaves
+// nothing visible beyond the limb count. At runtime limb counts squarings
+// run the product, which measured faster there.
 //
 // On x86-64 CPUs whose cpuid reports BMI2 and ADX, the 8- and 16-limb
 // product and squaring run MULX/ADCX/ADOX routines instead
@@ -25,12 +31,22 @@
 // the carry flag, ADOX on the overflow flag) interleave, each routine ending
 // in its own branch-free final subtraction and storing the reduced result.
 // The 8-limb squaring keeps its cross products and their doubling in
-// registers. They compute exactly what the portable kernel computes. Like
-// it, they have no branch and no load or store whose address depends on the
-// data, and every loop counts limbs. Which kernel runs is
-// decided once per process by the CPU, never by the operands; no option
-// selects it (only a test seam can force the portable kernel). exp() takes
-// one of two paths:
+// registers. They compute exactly what the portable kernel computes.
+//
+// On CPUs with AVX512F, AVX512IFMA and AVX512VL (and an OS that saves the
+// ZMM state), 16-limb moduli run a radix-2^52 backend instead
+// (montgomery_ifma.h): 20 digits of 52 bits in three 512-bit registers, an
+// almost-Montgomery product by VPMADD52LUQ/HUQ rows whose results stay in
+// [0, 2n), and a masked scan over whole registers. The base enters the
+// radix once per exponentiation and the result leaves it once, through a
+// single branch-free subtraction that reduces it below n. 8-limb moduli
+// stay on MULX/ADCX/ADOX, which measured as fast there.
+//
+// Every backend has no branch and no load or store whose address depends
+// on the data, and every loop counts limbs or digits. Which kernel runs
+// (montgomery_kernel()) is decided once per process by the CPU, never by
+// the operands; no option selects it (only a test seam can cap it). exp()
+// takes one of two paths:
 //
 //  * secret path: a context built with a secret exponent width runs every
 //    exponent of 64 bits up to that width in fixed 4-bit windows over the
@@ -115,12 +131,35 @@ class MontgomeryCtx {
   std::size_t ct_width_ = 0;       // declared secret width; 0: none
   std::uint64_t n0_inv_ = 0;       // -n^{-1} mod 2^64
   std::vector<std::uint64_t> r2_;  // R^2 mod n, k_ limbs
+  // 16-limb moduli on CPUs with IFMA: n, then 2^2080 mod n, in radix 2^52
+  // (ifma::kWords words each); null otherwise. Copies share it.
+  std::shared_ptr<const std::uint64_t[]> radix52_;
   std::shared_ptr<FixedBase> fixed_;  // null: no fixed base
 };
 
-/// Convenience one-shot (base ^ exp) mod modulus. For odd moduli uses
-/// Montgomery; for even moduli falls back to square-and-multiply with full
-/// reductions (only needed by tests).
-BigInt mod_exp(const BigInt& base, const BigInt& exp, const BigInt& modulus);
+/// The routines that run a modulus's Montgomery products.
+enum class MontgomeryKernel { kPortable, kAdx, kIfma };
+
+/// The kernel that serves moduli of `limbs` 64-bit limbs in this process:
+/// kIfma at 16 limbs where the CPU has AVX512F, AVX512IFMA and AVX512VL;
+/// else kAdx at 8 and 16 limbs where it has BMI2 and ADX; else kPortable.
+MontgomeryKernel montgomery_kernel(std::size_t limbs);
+
+/// "avx512-ifma", "mulx/adcx/adox" or "portable".
+const char* kernel_name(MontgomeryKernel kernel);
+
+/// Test seam: while one is alive, no product in the process runs a kernel
+/// above `cap` in the order kPortable < kAdx < kIfma, so that the oracle
+/// tests can check every kernel in one binary. Not for use outside tests.
+class KernelCapForTesting {
+ public:
+  explicit KernelCapForTesting(MontgomeryKernel cap);
+  ~KernelCapForTesting();
+  KernelCapForTesting(const KernelCapForTesting&) = delete;
+  KernelCapForTesting& operator=(const KernelCapForTesting&) = delete;
+
+ private:
+  MontgomeryKernel previous_;
+};
 
 }  // namespace sgk

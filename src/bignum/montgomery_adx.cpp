@@ -1,7 +1,5 @@
 #include "bignum/montgomery_adx.h"
 
-#include <atomic>
-
 #if defined(__x86_64__) && defined(__ELF__)
 #include <cpuid.h>
 #endif
@@ -9,8 +7,6 @@
 namespace sgk::adx {
 
 namespace {
-std::atomic<int> portable_for_testing{0};
-
 bool cpu_has_bmi2_adx() {
 #if defined(__x86_64__) && defined(__ELF__)
   unsigned eax = 0;
@@ -27,11 +23,8 @@ bool cpu_has_bmi2_adx() {
 
 bool selected() {
   static const bool cpu = cpu_has_bmi2_adx();
-  return cpu && portable_for_testing.load(std::memory_order_relaxed) == 0;
+  return cpu;
 }
-
-PortableKernelForTesting::PortableKernelForTesting() { ++portable_for_testing; }
-PortableKernelForTesting::~PortableKernelForTesting() { --portable_for_testing; }
 
 }  // namespace sgk::adx
 

@@ -39,22 +39,11 @@ inline constexpr bool kBuilt = true;
 inline constexpr bool kBuilt = false;
 #endif
 
-/// True iff 8- and 16-limb Montgomery products run these routines: where
-/// kBuilt, decided once per process by whether the CPU has BMI2 (MULX) and
-/// ADX (ADCX/ADOX), cpuid leaf 7 EBX bits 8 and 19. Only a live
-/// PortableKernelForTesting turns it off.
+/// True iff the CPU can run these routines: where kBuilt, decided once per
+/// process by whether it has BMI2 (MULX) and ADX (ADCX/ADOX), cpuid leaf 7
+/// EBX bits 8 and 19. montgomery_kernel() (montgomery.h) says which moduli
+/// they serve.
 bool selected();
-
-/// Test seam: while one is alive, every 8- and 16-limb product in the
-/// process runs the portable kernel, so that the oracle tests can check
-/// both kernels in one binary. Not for use outside tests.
-class PortableKernelForTesting {
- public:
-  PortableKernelForTesting();
-  ~PortableKernelForTesting();
-  PortableKernelForTesting(const PortableKernelForTesting&) = delete;
-  PortableKernelForTesting& operator=(const PortableKernelForTesting&) = delete;
-};
 
 // Defined only where kBuilt is true, and only called there.
 extern "C" {

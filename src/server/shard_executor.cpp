@@ -10,6 +10,7 @@ ShardExecutor::ShardExecutor(int threads)
     : threads_(threads), epoch_(std::max(threads, 0) + 1) {
   SGK_CHECK(threads >= 1);
   if (threads_ == 1) return;  // inline mode, no pool
+  errors_.resize(static_cast<std::size_t>(threads_));
   workers_.reserve(static_cast<std::size_t>(threads_));
   for (int worker = 0; worker < threads_; ++worker) {
     workers_.emplace_back([this, worker] { worker_loop(worker); });
@@ -31,13 +32,25 @@ void ShardExecutor::run_epoch(const std::function<void(int)>& fn) {
   task_ = &fn;
   epoch_.arrive_and_wait();  // start: the workers see task_
   epoch_.arrive_and_wait();  // finish: their writes are visible here
+  std::exception_ptr first;
+  for (std::exception_ptr& error : errors_) {
+    if (!first) first = error;
+    error = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void ShardExecutor::worker_loop(int worker) {
   while (true) {
     epoch_.arrive_and_wait();
     if (stop_) return;
-    (*task_)(worker);
+    try {
+      (*task_)(worker);
+    } catch (...) {
+      // Carried to the calling thread: an exception escaping a worker
+      // thread would end the process.
+      errors_[static_cast<std::size_t>(worker)] = std::current_exception();
+    }
     epoch_.arrive_and_wait();
   }
 }

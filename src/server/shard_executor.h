@@ -18,6 +18,7 @@
 #pragma once
 
 #include <barrier>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -47,7 +48,10 @@ class ShardExecutor {
   /// Runs `fn(worker)` once for every worker index in [0, threads()) and
   /// returns after all of them finished (the epoch barrier). Worker index w
   /// runs on the same thread in every epoch. `fn` must confine itself to
-  /// state no other worker touches in this epoch. Not reentrant.
+  /// state no other worker touches in this epoch. Not reentrant. If `fn`
+  /// throws, every worker still finishes the epoch, and run_epoch rethrows
+  /// the exception of the lowest worker index that threw; the executor
+  /// stays usable.
   void run_epoch(const std::function<void(int)>& fn);
 
  private:
@@ -57,6 +61,9 @@ class ShardExecutor {
   std::barrier<> epoch_;  // threads_ workers + the calling thread
   const std::function<void(int)>* task_ = nullptr;
   bool stop_ = false;
+  // What each worker's task threw this epoch; written by that worker before
+  // the finish barrier, read and cleared by the calling thread after it.
+  std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> workers_;
 };
 

@@ -162,16 +162,11 @@ TEST(CrtCombine, ReconstructsValue) {
 }
 
 TEST(ModExp, KnownValues) {
-  EXPECT_EQ(mod_exp(BigInt(2), BigInt(10), BigInt(1000)), BigInt(24));
-  EXPECT_EQ(mod_exp(BigInt(5), BigInt(0), BigInt(7)), BigInt(1));
-  EXPECT_EQ(mod_exp(BigInt(0), BigInt(5), BigInt(7)), BigInt(0));
+  EXPECT_EQ(MontgomeryCtx(BigInt(1001)).exp(BigInt(2), BigInt(10)), BigInt(1024 % 1001));
+  EXPECT_EQ(MontgomeryCtx(BigInt(7)).exp(BigInt(5), BigInt(0)), BigInt(1));
+  EXPECT_EQ(MontgomeryCtx(BigInt(7)).exp(BigInt(0), BigInt(5)), BigInt(0));
   // Fermat: a^(p-1) = 1 mod p
-  EXPECT_EQ(mod_exp(BigInt(2), BigInt(102), BigInt(103)), BigInt(1));
-}
-
-TEST(ModExp, EvenModulusFallback) {
-  EXPECT_EQ(mod_exp(BigInt(3), BigInt(4), BigInt(100)), BigInt(81 % 100));
-  EXPECT_EQ(mod_exp(BigInt(7), BigInt(3), BigInt(16)), BigInt(343 % 16));
+  EXPECT_EQ(MontgomeryCtx(BigInt(103)).exp(BigInt(2), BigInt(102)), BigInt(1));
 }
 
 TEST(Montgomery, RejectsEvenModulus) {
@@ -262,7 +257,7 @@ TEST(Prime, SchnorrGroupStructure) {
   EXPECT_EQ(grp.p.bit_length(), 256u);
   EXPECT_EQ(grp.q.bit_length(), 96u);
   EXPECT_EQ((grp.p - BigInt(1)) % grp.q, BigInt(0));
-  EXPECT_EQ(mod_exp(grp.g, grp.q, grp.p), BigInt(1));
+  EXPECT_EQ(MontgomeryCtx(grp.p).exp(grp.g, grp.q), BigInt(1));
   EXPECT_NE(grp.g, BigInt(1));
 }
 

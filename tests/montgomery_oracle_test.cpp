@@ -2,18 +2,22 @@
 // product, RSA-CRT signature and inverse mod q is checked against plain
 // square-and-multiply (or extended Euclid) over BigInt's schoolbook
 // multiply and Knuth division, on DRBG-seeded and edge inputs. Every check
-// that runs 8- or 16-limb moduli runs twice where the CPU has BMI2 and ADX:
-// on the MULX/ADCX/ADOX routines and on the portable kernel.
+// that runs 8- or 16-limb moduli runs on every kernel this CPU has: the
+// AVX-512 IFMA routines (16 limbs, where the CPU has AVX512F/IFMA/VL), the
+// MULX/ADCX/ADOX routines (where it has BMI2 and ADX), and the portable
+// kernel.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
 #include "bignum/montgomery_adx.h"
+#include "bignum/montgomery_ifma.h"
 #include "core/crypto_context.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
@@ -38,22 +42,35 @@ BigInt oracle_exp(const BigInt& base, const BigInt& e, const BigInt& n) {
 
 BigInt all_ones(std::size_t bits) { return (BigInt(1) << bits) - BigInt(1); }
 
-/// Runs `check` on every kernel that serves `limbs`-limb moduli: first the
-/// MULX/ADCX/ADOX routines (8 and 16 limbs, where this CPU has BMI2 and ADX),
-/// then the portable kernel, the reference. `check` draws its inputs from
-/// its own seeds, so both passes see the same ones.
-void for_each_kernel(std::size_t limbs, const std::function<void()>& check) {
-  if ((limbs == 8 || limbs == 16) && adx::selected()) {
-    SCOPED_TRACE("kernel: mulx/adcx/adox");
-    check();
+constexpr MontgomeryKernel kAllKernels[] = {
+    MontgomeryKernel::kIfma, MontgomeryKernel::kAdx, MontgomeryKernel::kPortable};
+
+/// The kernels that serve `limbs`-limb moduli on this CPU, fastest first:
+/// the IFMA routines (16 limbs), the MULX/ADCX/ADOX routines (8 and 16
+/// limbs), then the portable kernel, the reference.
+std::vector<MontgomeryKernel> kernels_serving(std::size_t limbs) {
+  std::vector<MontgomeryKernel> ks;
+  for (MontgomeryKernel kernel : kAllKernels) {
+    const KernelCapForTesting cap(kernel);
+    if (montgomery_kernel(limbs) == kernel) ks.push_back(kernel);
   }
-  SCOPED_TRACE("kernel: portable");
-  const adx::PortableKernelForTesting portable;
-  check();
+  return ks;
 }
 
-/// As above, for checks that run both 8- and 16-limb moduli.
-void for_each_kernel(const std::function<void()>& check) { for_each_kernel(8, check); }
+/// Runs `check` on every kernel that serves `limbs`-limb moduli on this CPU.
+/// `check` draws its inputs from its own seeds, so every pass sees the same
+/// ones.
+void for_each_kernel(std::size_t limbs, const std::function<void()>& check) {
+  for (MontgomeryKernel kernel : kernels_serving(limbs)) {
+    const KernelCapForTesting cap(kernel);
+    SCOPED_TRACE(std::string("kernel: ") + kernel_name(kernel));
+    check();
+  }
+}
+
+/// As above, for checks that run both 8- and 16-limb moduli: every kernel
+/// that serves 16 limbs (8-limb moduli run the best one below it).
+void for_each_kernel(const std::function<void()>& check) { for_each_kernel(16, check); }
 
 /// Odd modulus of exactly 64 * limbs bits.
 BigInt random_modulus(std::size_t limbs, Drbg& rng) {
@@ -621,11 +638,60 @@ TEST(MontgomeryKernelDispatch, AdxChosenExactlyWhenCpuidReportsBmi2AndAdx) {
 #endif
   want = want && adx::kBuilt;
   EXPECT_EQ(adx::selected(), want);
+  const MontgomeryKernel best = want ? MontgomeryKernel::kAdx : MontgomeryKernel::kPortable;
+  EXPECT_EQ(montgomery_kernel(8), best);
   {
-    const adx::PortableKernelForTesting portable;
-    EXPECT_FALSE(adx::selected());
+    const KernelCapForTesting portable(MontgomeryKernel::kPortable);
+    EXPECT_EQ(montgomery_kernel(8), MontgomeryKernel::kPortable);
+    EXPECT_EQ(montgomery_kernel(16), MontgomeryKernel::kPortable);
   }
-  EXPECT_EQ(adx::selected(), want);
+  {
+    const KernelCapForTesting adx(MontgomeryKernel::kAdx);
+    EXPECT_EQ(montgomery_kernel(16), best);
+  }
+  EXPECT_EQ(montgomery_kernel(8), best);
+  // Other limb counts always run the portable kernel.
+  for (std::size_t limbs : {1u, 7u, 9u, 15u, 17u, 64u})
+    EXPECT_EQ(montgomery_kernel(limbs), MontgomeryKernel::kPortable) << limbs;
+}
+
+/// What the IFMA routines need from this CPU: AVX512F, AVX512IFMA and
+/// AVX512VL in cpuid leaf 7 EBX (bits 16, 21, 31), and an OS that saves the
+/// opmask and ZMM state (XCR0 bits 5-7, with SSE and AVX, bits 1-2).
+bool cpuid_reports_ifma() {
+#if defined(__x86_64__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || ((ecx >> 27) & 1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if (((ebx >> 16) & 1) == 0 || ((ebx >> 21) & 1) == 0 || ((ebx >> 31) & 1) == 0) return false;
+  unsigned xcr0 = 0;
+  unsigned xcr0_high = 0;
+  asm volatile("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  return (xcr0 & 0xe6) == 0xe6;
+#else
+  return false;
+#endif
+}
+
+TEST(MontgomeryKernelDispatch, IfmaChosenExactlyWhenCpuidReportsAvx512IfmaAndZmmState) {
+  const bool want = cpuid_reports_ifma() && ifma::kBuilt;
+  EXPECT_EQ(ifma::selected(), want);
+  const MontgomeryKernel below = montgomery_kernel(8);  // ADX or portable
+  EXPECT_NE(below, MontgomeryKernel::kIfma);
+  EXPECT_EQ(montgomery_kernel(16), want ? MontgomeryKernel::kIfma : below);
+  {
+    const KernelCapForTesting adx(MontgomeryKernel::kAdx);
+    EXPECT_EQ(montgomery_kernel(16), below);
+    const KernelCapForTesting portable(MontgomeryKernel::kPortable);  // nested caps
+    EXPECT_EQ(montgomery_kernel(16), MontgomeryKernel::kPortable);
+  }
+  EXPECT_EQ(montgomery_kernel(16), want ? MontgomeryKernel::kIfma : below);
+  EXPECT_STREQ(kernel_name(MontgomeryKernel::kIfma), "avx512-ifma");
+  EXPECT_STREQ(kernel_name(MontgomeryKernel::kAdx), "mulx/adcx/adox");
+  EXPECT_STREQ(kernel_name(MontgomeryKernel::kPortable), "portable");
 }
 
 constexpr const char* kNoAdx =
@@ -781,10 +847,14 @@ TEST(MontgomeryAdx, CarryStressMatchesPortableLimbForLimb) {
       const std::size_t width = 64 * limbs;
       for (const BigInt& a : xs) {
         for (const BigInt& b : xs) {
-          const std::vector<BigInt> fast = kernel_results(n, a, b, e);
+          std::vector<BigInt> fast;
+          {
+            const KernelCapForTesting use_adx(MontgomeryKernel::kAdx);
+            fast = kernel_results(n, a, b, e);
+          }
           std::vector<BigInt> portable;
           {
-            const adx::PortableKernelForTesting use_portable;
+            const KernelCapForTesting use_portable(MontgomeryKernel::kPortable);
             portable = kernel_results(n, a, b, e);
           }
           const std::vector<BigInt> want = {a * b % n,
@@ -863,6 +933,221 @@ TEST(MontgomeryAdx, RoutinesKeepTheirContractOnCarryStressOperands) {
         check_routine_contract<8>(n, xs);
       else
         check_routine_contract<16>(n, xs);
+    }
+  }
+}
+
+// ---- the AVX-512 IFMA routines ---------------------------------------------
+
+constexpr const char* kNoIfma =
+    "no AVX-512 IFMA routines here (cpuid leaf 7 reports no AVX512F/IFMA/VL, or the OS "
+    "does not save the ZMM state): 16-limb moduli run MULX/ADCX/ADOX or the portable kernel";
+
+/// 16-limb moduli for the radix-2^52 routines: the carry-stress moduli, and
+/// n just above 2^1023 (2n barely exceeds 2^1024) and just below 2^1024
+/// (values in [n, 2n) reach bit 1024, the 20th digit's top).
+std::vector<BigInt> ifma_stress_moduli(Drbg& rng) {
+  std::vector<BigInt> ns = carry_stress_moduli(16, rng);
+  const BigInt odd = BigInt::random_bits(32, rng) * BigInt(2) + BigInt(1);
+  ns.push_back((BigInt(1) << 1023) + odd);
+  ns.push_back((BigInt(1) << 1024) - odd - BigInt(2));
+  return ns;
+}
+
+/// Values in [0, 2n) that stress the radix-2^52 product: 0, 1, n - 1, n,
+/// n + 1, 2n - 2, 2n - 1, random ones below n and in [n, 2n), and every
+/// value whose 52-bit digits are all ones up to some digit (the digits of
+/// 2^(52j) - 1), and 2^1024 - 1, where below 2n.
+std::vector<BigInt> ifma_stress_operands(const BigInt& n, Drbg& rng) {
+  const BigInt two_n = n + n;
+  std::vector<BigInt> xs = {BigInt(),
+                            BigInt(1),
+                            n - BigInt(1),
+                            n,
+                            n + BigInt(1),
+                            two_n - BigInt(2),
+                            two_n - BigInt(1),
+                            BigInt::random_below(n, rng),
+                            n + BigInt::random_below(n, rng)};
+  for (std::size_t digits : {1u, 10u, 19u, 20u}) {
+    const BigInt x = all_ones(52 * digits);
+    if (x < two_n) xs.push_back(x);
+  }
+  if (all_ones(1024) < two_n) xs.push_back(all_ones(1024));
+  return xs;
+}
+
+TEST(MontgomeryIfma, CarryStressMatchesAdxAndPortable) {
+  if (!ifma::selected()) GTEST_SKIP() << kNoIfma;
+  Drbg rng(16, "oracle-ifma-carry");
+  for (const BigInt& n : ifma_stress_moduli(rng)) {
+    // The context takes operands of up to n's bit length as they are, so
+    // those in [n, 2^|n|) reach the kernel unreduced.
+    std::vector<BigInt> xs = carry_stress_operands(n, rng);
+    xs.push_back(n);
+    xs.push_back(all_ones(n.bit_length()));
+    const BigInt e = BigInt::random_bits(1024, rng);
+    for (const BigInt& a : xs) {
+      for (const BigInt& b : {xs[1], xs.back(), xs[4]}) {  // n - 1, all ones, random
+        const std::vector<BigInt> want = {a * b % n,
+                                          a * a % n,
+                                          oracle_exp(b, BigInt(1) << 100, n),
+                                          oracle_exp(a, all_ones(1024), n),
+                                          oracle_exp(b, e, n),
+                                          BigInt(),
+                                          n - BigInt(1),
+                                          n - BigInt(1)};
+        for (MontgomeryKernel kernel : kernels_serving(16)) {
+          const KernelCapForTesting cap(kernel);
+          const std::vector<BigInt> got = kernel_results(n, a, b, e);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(got[i], want[i]) << kernel_name(kernel) << " result " << i << " n "
+                                       << n.to_hex() << " a " << a.to_hex() << " b "
+                                       << b.to_hex();
+        }
+      }
+    }
+  }
+}
+
+/// v < 2^1040 as ifma::kWords words of 52-bit digits, the top four zero.
+std::vector<std::uint64_t> radix52(const BigInt& v) {
+  constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
+  std::vector<std::uint64_t> l = v.limbs();
+  l.resize(18, 0);
+  std::vector<std::uint64_t> d(ifma::kWords, 0);
+  for (std::size_t i = 0; i < ifma::kDigits; ++i) {
+    const std::size_t bit = 52 * i;
+    const std::size_t s = bit % 64;
+    std::uint64_t x = l[bit / 64] >> s;
+    if (s > 12) x |= l[bit / 64 + 1] << (64 - s);
+    d[i] = x & kMask52;
+  }
+  return d;
+}
+
+/// The value of a digit array, which must hold digits below 2^52 and four
+/// zero words on top.
+BigInt from_radix52(const std::vector<std::uint64_t>& d) {
+  EXPECT_EQ(d.size(), ifma::kWords);
+  BigInt v;
+  for (std::size_t i = ifma::kWords; i-- > 0;) {
+    EXPECT_LT(d[i], i < ifma::kDigits ? std::uint64_t{1} << 52 : 1) << "digit " << i;
+    v = (v << 52) + BigInt(d[i]);
+  }
+  return v;
+}
+
+// The routines of montgomery_ifma.h called directly on operands anywhere in
+// [0, 2n), which the context's own values reach between products: each
+// product is below 2n with every digit below 2^52, congruent to a * b / R
+// (R = 2^1040), and the same with out aliasing a, b or both; store()
+// reduces it below n; products whose result has all-ones digits, and 2000
+// random products, push the final carry ripple through every digit.
+TEST(MontgomeryIfma, RoutinesKeepTheirContractUpTo2n) {
+  if (!ifma::selected()) GTEST_SKIP() << kNoIfma;
+  if constexpr (ifma::kBuilt) {
+    using Words = std::vector<std::uint64_t>;
+    Drbg rng(17, "oracle-ifma-raw");
+    std::vector<BigInt> ns = ifma_stress_moduli(rng);
+    ns.push_back(random_modulus(16, rng));
+    const BigInt r = BigInt(1) << 1040;
+    for (const BigInt& n : ns) {
+      Words nl = n.limbs();
+      nl.resize(16, 0);
+      const Words n52 = radix52(n);
+      Words loaded(ifma::kWords);
+      ifma::load(loaded.data(), nl.data());
+      EXPECT_EQ(loaded, n52) << "load of " << n.to_hex();
+      const std::uint64_t k0 = neg_inverse_64(nl[0]) & ((std::uint64_t{1} << 52) - 1);
+      const BigInt r_inv = mod_inverse_euclid(r % n, n);
+      const BigInt two_n = n + n;
+      auto mul = [&](const BigInt& x, const BigInt& y) {
+        Words out(ifma::kWords);
+        ifma::mul(out.data(), radix52(x).data(), radix52(y).data(), n52.data(), k0);
+        return out;
+      };
+      auto check = [&](const Words& out, const BigInt& x, const BigInt& y) {
+        const BigInt got = from_radix52(out);
+        const BigInt want = x * y * r_inv % n;
+        EXPECT_LT(got, two_n) << x.to_hex() << " * " << y.to_hex() << " mod " << n.to_hex();
+        EXPECT_EQ(got % n, want) << x.to_hex() << " * " << y.to_hex() << " mod " << n.to_hex();
+        Words stored(16);
+        ifma::store(stored.data(), out.data(), nl.data());
+        EXPECT_EQ(BigInt::from_limbs(stored), want) << "store, mod " << n.to_hex();
+      };
+      const std::vector<BigInt> xs = ifma_stress_operands(n, rng);
+      for (const BigInt& a : xs) {
+        for (const BigInt& b : xs) {
+          const Words out = mul(a, b);
+          check(out, a, b);
+          Words over_a = radix52(a);
+          Words over_b = radix52(b);
+          ifma::mul(over_a.data(), over_a.data(), radix52(b).data(), n52.data(), k0);
+          ifma::mul(over_b.data(), radix52(a).data(), over_b.data(), n52.data(), k0);
+          EXPECT_EQ(over_a, out) << "out = a: " << a.to_hex() << " * " << b.to_hex();
+          EXPECT_EQ(over_b, out) << "out = b: " << a.to_hex() << " * " << b.to_hex();
+        }
+        Words both = radix52(a);
+        ifma::mul(both.data(), both.data(), both.data(), n52.data(), k0);
+        EXPECT_EQ(both, mul(a, a)) << "out = a = b: " << a.to_hex();
+      }
+      // Results whose digits are all ones: x = v * R mod n times 1 is v
+      // exactly for v < n (the product is at most n and congruent to v).
+      for (std::size_t digits : {1u, 2u, 10u, 19u, 20u}) {
+        const BigInt v = all_ones(52 * digits);
+        if (v >= n) continue;
+        const BigInt x = v * r % n;
+        EXPECT_EQ(from_radix52(mul(x, BigInt(1))), v) << digits << " all-ones digits";
+        check(mul(x, BigInt(1)), x, BigInt(1));
+      }
+      for (int i = 0; i < 2000; ++i) {
+        const BigInt a = BigInt::random_below(two_n, rng);
+        const BigInt b = BigInt::random_below(two_n, rng);
+        check(mul(a, b), a, b);
+      }
+      // 64 chained in-place squarings from each all-ones operand.
+      for (const BigInt& x : xs) {
+        if (x.bit_length() < 52 * 19) continue;
+        BigInt expect = x;
+        Words chain = radix52(x);
+        for (int t = 0; t < 64; ++t) {
+          ifma::mul(chain.data(), chain.data(), chain.data(), n52.data(), k0);
+          expect = expect * expect * r_inv % n;
+          ASSERT_EQ(from_radix52(chain) % n, expect)
+              << "squaring " << t + 1 << " of " << x.to_hex() << " mod " << n.to_hex();
+        }
+      }
+    }
+  }
+}
+
+// The fixed-base comb table is kept per backend: a table built by one
+// kernel and read through another would be in the wrong radix or form.
+// Each ordered pair of this CPU's 16-limb kernels builds the table of a
+// fresh DH-1024 group on the first and reads it through the second.
+TEST(MontgomeryOracleComb, TableBuiltOnOneKernelReadThroughAnother) {
+  const std::vector<MontgomeryKernel> kernels = kernels_serving(16);
+  if (kernels.size() < 2) GTEST_SKIP() << "one kernel serves 16-limb moduli here";
+  const DhGroup& ref = dh_group(DhBits::k1024);
+  Drbg rng(29, "oracle-comb-kernels");
+  for (MontgomeryKernel builder : kernels) {
+    for (MontgomeryKernel reader : kernels) {
+      if (reader == builder) continue;
+      const DhGroup grp(ref.p(), ref.q(), ref.g());  // comb table not built yet
+      const BigInt e[2] = {BigInt::random_below(ref.q(), rng),
+                           BigInt::random_below(ref.q(), rng)};
+      {
+        const KernelCapForTesting cap(builder);
+        EXPECT_EQ(grp.exp_g(e[0]), oracle_exp(ref.g(), e[0], ref.p()))
+            << "built on " << kernel_name(builder);
+      }
+      const KernelCapForTesting cap(reader);
+      EXPECT_EQ(grp.exp_g(e[1]), oracle_exp(ref.g(), e[1], ref.p()))
+          << "built on " << kernel_name(builder) << ", read on " << kernel_name(reader);
+      EXPECT_EQ(grp.exp(grp.g(), e[0]), oracle_exp(ref.g(), e[0], ref.p()))
+          << "built on " << kernel_name(builder) << ", read on " << kernel_name(reader);
     }
   }
 }

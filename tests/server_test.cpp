@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <new>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,6 +265,30 @@ TEST(ShardExecutor, DestroyedBeforeAnyEpochJoinsCleanly) {
   for (int threads : {1, 2, 4}) {
     ShardExecutor exec(threads);
     EXPECT_EQ(exec.threads(), threads);
+  }
+}
+
+// A task's exception reaches run_epoch's caller instead of ending the
+// process from a worker thread: worker 1 (worker 0 at one thread) throws
+// std::bad_alloc, which GroupHost::advance rethrows; at three threads
+// worker 2 throws too, and the lowest index wins. Every other worker still
+// finishes its slice, the next epoch runs normally, and the executor joins
+// its workers when it goes away.
+TEST(ShardExecutor, TaskExceptionReachesTheCaller) {
+  for (int threads : {1, 2, 3}) {
+    ShardExecutor exec(threads);
+    std::vector<int> ran(threads, 0);
+    const int thrower = std::min(threads - 1, 1);
+    EXPECT_THROW(exec.run_epoch([&](int w) {
+      ++ran[w];
+      if (w == thrower) throw std::bad_alloc();
+      if (w > thrower) throw std::runtime_error("later worker");
+    }),
+                 std::bad_alloc)
+        << threads << " threads";
+    EXPECT_EQ(ran, std::vector<int>(threads, 1)) << threads << " threads";
+    exec.run_epoch([&](int w) { ++ran[w]; });
+    EXPECT_EQ(ran, std::vector<int>(threads, 2)) << threads << " threads";
   }
 }
 

@@ -30,7 +30,7 @@
 //
 // An approved boundary absorbs taint: a tainted value used as an argument
 // of ct_equal / key_fingerprint / the HKDF-MAC-cipher APIs / a Secure*
-// constructor / ScopedSubkey / secure_zero / mod_exp is considered properly
+// constructor / ScopedSubkey / secure_zero / exp is considered properly
 // handed over (the result is a fingerprint, ciphertext, a wiped copy, or a
 // blinded public value), and the destination is not tainted.
 //
@@ -67,7 +67,7 @@ const char* const kBoundaries[] = {
     "hkdf_sha256",    "hmac_sha256",        "aes128_cbc_encrypt",
     "aes128_cbc_decrypt", "ChaCha20",       "Sha256",
     "SecureBytes",    "SecureBigInt",       "ScopedSubkey",
-    "Drbg",           "mod_exp",            "wipe",
+    "Drbg",           "wipe",
     // The modular-exponentiation kernels (Montgomery::exp, the
     // CryptoContext::exp/exp_g wrappers): passing a secret exponent into
     // modexp is the *intended* use of the secret, and the kernel's interior

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bignum/modmath.h"
+#include "bignum/montgomery.h"
 #include "bignum/prime.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
@@ -38,7 +39,7 @@ void emit_dh(std::size_t p_bits, std::size_t q_bits, std::uint64_t seed) {
   std::cout << "G = \"" << grp.g.to_hex() << "\"\n";
   // Self-check the subgroup structure before anyone pastes these anywhere.
   if ((grp.p - sgk::BigInt(1)) % grp.q != sgk::BigInt(0) ||
-      sgk::mod_exp(grp.g, grp.q, grp.p) != sgk::BigInt(1)) {
+      sgk::MontgomeryCtx(grp.p).exp(grp.g, grp.q) != sgk::BigInt(1)) {
     std::cerr << "self-check FAILED\n";
     std::exit(1);
   }
